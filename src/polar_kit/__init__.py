@@ -67,7 +67,6 @@ from .losses import (
 )
 from .o2o_head import (
     HeadWeights,
-    PooledFeatures,
     aggregate_levels,
     edge_tensor,
     head_forward,
@@ -78,7 +77,6 @@ from .o2o_head import (
     save_weights,
 )
 from .suppression import (
-    Candidate,
     CandidateSet,
     SuppressionThresholds,
     confidence_adjacency,

@@ -64,15 +64,8 @@ class AssignmentResult:
         return np.flatnonzero(mask)
 
 
-def cost_matrix(scores, ious, beta: float, mode: str = "o2m") -> np.ndarray:
-    """(G, K) affinity matrix: entry (q, p) = scores[p] * ious[q, p] ** beta.
-
-    ``mode`` documents which score head feeds the matrix ("o2o" expects the
-    one-to-one scores, "o2m" the one-to-many scores); the arithmetic is
-    identical.
-    """
-    if mode not in ("o2o", "o2m"):
-        raise InvalidInput(f"mode must be 'o2o' or 'o2m', got {mode!r}")
+def cost_matrix(scores, ious, beta: float) -> np.ndarray:
+    """(G, K) affinity matrix: entry (q, p) = scores[p] * ious[q, p] ** beta."""
     s = np.asarray(scores, dtype=float)
     m = np.asarray(ious, dtype=float)
     if s.ndim != 1 or m.ndim != 2 or m.shape[1] != s.size:
@@ -136,6 +129,6 @@ def assign_labels(scores_o2o, scores_o2m, ious, cfg: CostConfig) -> AssignmentRe
     """Run both assignments on one scene and bundle the outcome."""
     iou = np.asarray(ious, dtype=float)
     g, k = iou.shape
-    o2o = hungarian_assign(cost_matrix(scores_o2o, iou, cfg.beta, mode="o2o"))
-    o2m = simota_assign(cost_matrix(scores_o2m, iou, cfg.beta, mode="o2m"), iou, cfg)
+    o2o = hungarian_assign(cost_matrix(scores_o2o, iou, cfg.beta))
+    o2m = simota_assign(cost_matrix(scores_o2m, iou, cfg.beta), iou, cfg)
     return AssignmentResult(o2o_map=o2o, o2m_pairs=o2m, n_predictions=k, n_gts=g)

@@ -7,7 +7,8 @@ Subcommands:
   eval          score prediction files against ground-truth files
   bench         time the suppression paths over a range of candidate counts
 
-Exit codes: 0 success; 2 validation/config error; 3 I/O or data-file error.
+Exit codes: 0 success; 1 internal error (uncaught, with a traceback);
+2 validation/config error; 3 I/O or data-file error.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 from . import config as defaults
 from .errors import ConfigError, ParseError, PolarKitError
@@ -28,6 +28,7 @@ from .harness import (
     PipelineRun,
     SceneSpec,
     bench_suppression,
+    child_seed,
     gen_scene,
     run_pipeline,
     write_bench_csv,
@@ -41,6 +42,15 @@ from .harness.fileio import read_scene_dir
 from .suppression import SuppressionThresholds
 
 _CONFIG_SECTIONS = ("scenes", "candidates", "suppression", "pipeline", "labels")
+
+
+@contextmanager
+def _user_values():
+    """Turn type and value errors raised while parsing user input into ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_config(path: str | None) -> dict:
@@ -72,10 +82,6 @@ def _section(cfg: dict, name: str, allowed: set[str]) -> dict:
     return dict(blob)
 
 
-def _child_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
-
-
 def _frame_from_scene_cfg(blob: dict) -> ImageFrame:
     return ImageFrame(
         width=int(blob.pop("width", defaults.DEFAULT_WIDTH)),
@@ -103,7 +109,7 @@ def _scene_specs(cfg: dict, seed: int) -> list[SceneSpec]:
         SceneSpec(
             frame=frame, kind=kind, lane_count=lane_count, curvature=curvature,
             branch_frac=branch_frac, fork_separation=fork_separation,
-            seed=_child_seed(seed, i),
+            seed=child_seed(seed, i),
         )
         for i in range(count)
     ]
@@ -163,7 +169,8 @@ def _out_dir(args) -> Path:
 
 def _cmd_gen_scenes(args) -> int:
     cfg = _load_config(args.config)
-    specs = _scene_specs(cfg, args.seed)
+    with _user_values():
+        specs = _scene_specs(cfg, args.seed)
     out = _out_dir(args)
     for i, spec in enumerate(specs):
         lanes = gen_scene(spec)
@@ -176,16 +183,17 @@ def _cmd_gen_scenes(args) -> int:
 def _cmd_labels(args) -> int:
     cfg = _load_config(args.config)
     blob = _section(cfg, "labels", {"grid", "lambda_l", "top_k"})
-    grid = tuple(int(v) for v in blob.get("grid", defaults.SPARSE_GRID))
     if args.lambda_l is not None:
         blob["lambda_l"] = args.lambda_l
     if "lambda_l" not in blob:
         raise ConfigError("labels.lambda_l is required (config key or --lambda-l)")
-    lpm = LpmConfig(
-        grid_rows=grid[0], grid_cols=grid[1],
-        lambda_l=float(blob["lambda_l"]),
-        top_k=int(blob.get("top_k", min(defaults.SPARSE_TOP_K, grid[0] * grid[1]))),
-    )
+    with _user_values():
+        grid = tuple(int(v) for v in blob.get("grid", defaults.SPARSE_GRID))
+        lpm = LpmConfig(
+            grid_rows=grid[0], grid_cols=grid[1],
+            lambda_l=float(blob["lambda_l"]),
+            top_k=int(blob.get("top_k", min(defaults.SPARSE_TOP_K, grid[0] * grid[1]))),
+        )
     scenes = read_scene_dir(args.scenes)
     per_scene = []
     for lanes, _meta in scenes:
@@ -202,7 +210,8 @@ def _cmd_labels(args) -> int:
 
 def _cmd_run_pipeline(args) -> int:
     cfg = _load_config(args.config)
-    run = _pipeline_run(cfg, args.seed)
+    with _user_values():
+        run = _pipeline_run(cfg, args.seed)
     result = run_pipeline(run)
     out = _out_dir(args)
 
@@ -240,7 +249,12 @@ def _cmd_eval(args) -> int:
         )
     thresholds = MF1_THRESHOLDS
     if args.thresholds:
-        thresholds = tuple(float(t) for t in args.thresholds.split(","))
+        with _user_values():
+            thresholds = tuple(float(t) for t in args.thresholds.split(","))
+    if list(thresholds) != sorted(thresholds):
+        raise ConfigError("--thresholds must be sorted ascending")
+    if not args.w_base > 0:
+        raise ConfigError("--w-base must be positive")
     report = f1_suite(
         [lanes for lanes, _ in preds],
         [lanes for lanes, _ in gts],
@@ -255,7 +269,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    k_values = [int(k) for k in args.k.split(",")]
+    with _user_values():
+        k_values = [int(k) for k in args.k.split(",")]
     rows = bench_suppression(k_values, repetitions=args.reps, seed=args.seed)
     out = _out_dir(args)
     write_bench_csv(out / "bench.csv", rows)
@@ -319,9 +334,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except PolarKitError as exc:  # validation problems
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

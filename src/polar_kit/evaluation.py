@@ -133,17 +133,22 @@ def match_lanes(
     """
     if not preds or not gts:
         return [], list(range(len(preds))), list(range(len(gts)))
-    iou = iou_matrix(preds, gts, GIoUParams(g=0.0, w_base=w_base))  # (G, K)
+    return _match(iou_matrix(preds, gts, GIoUParams(g=0.0, w_base=w_base)), iou_threshold)
+
+
+def _match(iou: np.ndarray, iou_threshold: float):
+    """``match_lanes`` on a prebuilt, non-empty (G, K) IoU matrix."""
+    g, k = iou.shape
     eligible = iou >= iou_threshold
     # A bonus larger than any achievable IoU total makes pair count dominate.
-    bonus = float(min(len(preds), len(gts))) + 1.0
+    bonus = float(min(k, g)) + 1.0
     weights = np.where(eligible, iou + bonus, 0.0)
     rows, cols = linear_sum_assignment(weights, maximize=True)
     pairs = [(int(p), int(q)) for q, p in zip(rows, cols) if eligible[q, p]]
     matched_p = {p for p, _ in pairs}
     matched_q = {q for _, q in pairs}
-    fp = [p for p in range(len(preds)) if p not in matched_p]
-    fn = [q for q in range(len(gts)) if q not in matched_q]
+    fp = [p for p in range(k) if p not in matched_p]
+    fn = [q for q in range(g) if q not in matched_q]
     return pairs, fp, fn
 
 
@@ -156,7 +161,8 @@ def f1_suite(
     """Pooled F1 per threshold over all scenes, plus mF1.
 
     ``preds_per_scene`` and ``gts_per_scene`` are parallel lists of per-scene
-    lane lists.
+    lane lists.  Each scene's IoU matrix is built once and matched at every
+    threshold.
     """
     if len(preds_per_scene) != len(gts_per_scene):
         raise ShapeError("need one prediction list per ground-truth list")
@@ -166,9 +172,16 @@ def f1_suite(
 
     all_t = sorted(set(thresholds) | set(MF1_THRESHOLDS))
     counts = {t: [0, 0, 0] for t in all_t}
+    params = GIoUParams(g=0.0, w_base=w_base)
     for preds, gts in zip(preds_per_scene, gts_per_scene):
+        if not preds or not gts:
+            for t in all_t:
+                counts[t][1] += len(preds)
+                counts[t][2] += len(gts)
+            continue
+        iou = iou_matrix(preds, gts, params)  # (G, K)
         for t in all_t:
-            pairs, fp, fn = match_lanes(preds, gts, t, w_base)
+            pairs, fp, fn = _match(iou, t)
             counts[t][0] += len(pairs)
             counts[t][1] += len(fp)
             counts[t][2] += len(fn)

@@ -19,7 +19,7 @@ import numpy as np
 from ..config import default_global_pole
 from ..errors import InvalidSpec
 from ..geometry import ImageFrame, LaneGrid, Pole, sample_anchor_xs_batch
-from ..laneiou import pair_sums_from_arrays
+from ..laneiou import pairwise_iou
 from ..losses import segment_params
 from ..suppression import CandidateSet
 from .fileio import quantize
@@ -125,10 +125,7 @@ def candidate_gt_iou(cands: CandidateSet, gts: list[LaneGrid], w_base: float = 1
         return np.zeros((len(gts), len(cands)))
     gt_xs = np.stack([g.xs for g in gts])
     gt_valid = np.array([g.valid for g in gts])
-    overlap, _, union = pair_sums_from_arrays(
-        cands.lane_xs, cands.valid, gt_xs, gt_valid, cands.frame.rows_y, w_base
-    )
-    return overlap / union
+    return pairwise_iou(cands.lane_xs, cands.valid, gt_xs, gt_valid, cands.frame.rows_y, w_base)
 
 
 def oracle_o2o_scores(cands: CandidateSet, gts: list[LaneGrid], w_base: float = 15.0) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ParseError, VersionError
+from ..errors import ParseError, PolarKitError, VersionError
 from ..evaluation import MetricsReport, ThresholdMetrics
 from ..geometry import ImageFrame, LaneGrid, Pole, PoleGridLabels, polyline_to_grid
 from ..suppression import CandidateSet
@@ -116,6 +116,8 @@ def read_scene(path) -> tuple[list[LaneGrid], dict]:
     _check_keys(blob, {"version", "frame", "lanes", "meta"}, spath)
     _check_version(blob, spath)
     frame = _frame_from_dict(blob["frame"], spath)
+    if not isinstance(blob["lanes"], list):
+        raise ParseError("lanes must be a list", path=spath, field="lanes")
     lanes = []
     for i, entry in enumerate(blob["lanes"]):
         if not isinstance(entry, dict):
@@ -128,17 +130,6 @@ def read_scene(path) -> tuple[list[LaneGrid], dict]:
     if not isinstance(blob["meta"], dict):
         raise ParseError("meta must be an object", path=spath, field="meta")
     return lanes, blob["meta"]
-
-
-def write_scene_dir(out_dir, scenes: list[tuple[list[LaneGrid], dict]]) -> list[Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, (lanes, meta) in enumerate(scenes):
-        p = out / f"scene_{i:04d}.json"
-        write_scene(p, lanes, meta)
-        paths.append(p)
-    return paths
 
 
 def read_scene_dir(in_dir) -> list[tuple[list[LaneGrid], dict]]:
@@ -189,7 +180,10 @@ def read_candidates(path) -> tuple[CandidateSet, dict]:
     if not isinstance(pole_blob, dict):
         raise ParseError("pole must be an object", path=spath, field="pole")
     _check_keys(pole_blob, {"x", "y"}, spath, where="pole")
-    pole = Pole(x=float(pole_blob["x"]), y=float(pole_blob["y"]), kind="global")
+    try:
+        pole = Pole(x=float(pole_blob["x"]), y=float(pole_blob["y"]), kind="global")
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad pole: {exc}", path=spath, field="pole")
 
     keys = {"theta", "radius", "anchor_xs", "lane_xs", "valid", "score_o2m", "score_o2o"}
     thetas, radii, axs, lxs, valid, s_o2m, s_o2o = [], [], [], [], [], [], []
@@ -215,17 +209,20 @@ def read_candidates(path) -> tuple[CandidateSet, dict]:
     n = len(thetas)
     if any_o2o and np.any(np.isnan(s_o2o)):
         raise ParseError("score_o2o must be set for all candidates or none", path=spath)
-    cands = CandidateSet(
-        frame=frame,
-        thetas=np.array(thetas),
-        radii=np.array(radii),
-        anchor_xs=np.array(axs).reshape(n, frame.n_rows),
-        lane_xs=np.array(lxs).reshape(n, frame.n_rows),
-        valid=np.array(valid, dtype=int).reshape(n, 2),
-        scores_o2m=np.array(s_o2m),
-        scores_o2o=np.array(s_o2o) if any_o2o else None,
-        pole=pole,
-    )
+    try:
+        cands = CandidateSet(
+            frame=frame,
+            thetas=np.array(thetas),
+            radii=np.array(radii),
+            anchor_xs=np.array(axs).reshape(n, frame.n_rows),
+            lane_xs=np.array(lxs).reshape(n, frame.n_rows),
+            valid=np.array(valid, dtype=int).reshape(n, 2),
+            scores_o2m=np.array(s_o2m),
+            scores_o2o=np.array(s_o2o) if any_o2o else None,
+            pole=pole,
+        )
+    except (ValueError, PolarKitError) as exc:
+        raise ParseError(f"bad candidates: {exc}", path=spath)
     return cands, blob["meta"]
 
 

@@ -32,7 +32,7 @@ from ..suppression import (
     sequential_nms,
 )
 from .candidates import CandidateGenSpec, gen_candidates, oracle_o2o_scores
-from .scenes import SceneSpec, gen_scene
+from .scenes import SceneSpec, child_seed, gen_scene
 
 MODES = ("sequential", "fast_geometric", "dual_confidence")
 
@@ -92,19 +92,13 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
-def _scene_candidate_spec(base: CandidateGenSpec, scene_idx: int) -> CandidateGenSpec:
-    child = int(np.random.SeedSequence((base.seed, scene_idx)).generate_state(1)[0])
-    return replace(base, seed=child)
-
-
 def _head_scores(cands: CandidateSet, run: PipelineRun, weights: HeadWeights, scene_idx: int):
     rng = np.random.default_rng(np.random.SeedSequence((run.head_seed, scene_idx)))
     feats = rng.standard_normal((len(cands), 3, cands.frame.n_rows, run.feat_c_f))
-    _, scores = head_forward(
+    return head_forward(
         feats, cands.scores_o2m, cands.thetas, cands.radii, cands.anchor_xs,
         run.thresholds, weights,
     )
-    return scores
 
 
 def select_candidates(
@@ -141,9 +135,9 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         t0 = time.perf_counter()
         spec = run.scenes[idx]
         gts = gen_scene(spec)
+        cand_spec = replace(run.candidates, seed=child_seed(run.candidates.seed, idx))
         cands = gen_candidates(
-            gts, _scene_candidate_spec(run.candidates, idx), frame=spec.frame,
-            pole=default_global_pole(spec.frame),
+            gts, cand_spec, frame=spec.frame, pole=default_global_pole(spec.frame)
         )
         selected = select_candidates(cands, run, gts, weights, idx)
         preds = [cands.lane(int(i)) for i in selected]

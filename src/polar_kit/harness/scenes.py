@@ -56,6 +56,11 @@ class SceneSpec:
             )
 
 
+def child_seed(seed: int, index: int) -> int:
+    """Seed of the index-th scene (or its candidates) drawn from a base seed."""
+    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
+
+
 def _quadratic_xs(frame: ImageFrame, x_bottom: float, x_top: float, curve: float) -> np.ndarray:
     """x over the grid rows for x(t) = x_b + (x_t - x_b - a) t + a t^2, t from bottom."""
     t = (frame.height - frame.rows_y) / frame.height

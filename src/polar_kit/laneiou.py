@@ -5,6 +5,11 @@ with the local slope, so steep lanes keep a constant on-screen thickness.  The
 score sums per-row overlap, gap, and union lengths over the union of the two
 valid ranges; rows where only one lane exists contribute that lane's full
 width to the union and nothing to overlap or gap.
+
+``pairwise_iou`` is the one kernel: it turns two stacks of lane rows into the
+IoU matrix (sum(overlap) - g * sum(gap)) / sum(union).  ``iou_matrix`` and
+``glane_iou`` wrap it for ``LaneGrid`` inputs; suppression distances,
+candidate-to-ground-truth scores and the F1 matcher all go through it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from .errors import InvalidLane, ShapeError
 from .geometry import LaneGrid
 
-# Row count cap per broadcast block when assembling big pairwise matrices.
+# Element cap per broadcast block when assembling big pairwise matrices.
 _CHUNK_ELEMS = 4_000_000
 
 
@@ -115,44 +120,39 @@ def lane_boundaries(lane: LaneGrid, w_base: float) -> LaneBoundaries:
     )
 
 
-def _pair_sums(la, ra, ma, lb, rb, mb):
-    """Summed overlap / gap / union distances for all (b, a) lane pairs.
+def pairwise_iou(xs_a, valid_a, xs_b, valid_b, rows_y, w_base: float, g: float = 0.0) -> np.ndarray:
+    """(Kb, Ka) interval IoU between every lane of set b and every lane of set a.
 
-    Inputs are (Ka, N) and (Kb, N) boundary arrays (zeroed outside their
-    masks); returns three (Kb, Ka) arrays.  Chunked over b to bound the
-    (Kb, Ka, N) broadcast temporaries.
+    Entry (q, p) is (sum(overlap) - g * sum(gap)) / sum(union) for lanes a_p
+    and b_q; the gap sums are formed only when g != 0.  Work is chunked over
+    b so the (chunk, Ka, N) broadcast temporaries stay near _CHUNK_ELEMS.
     """
+    la, ra, ma = stack_boundaries(xs_a, valid_a, rows_y, w_base)
+    lb, rb, mb = stack_boundaries(xs_b, valid_b, rows_y, w_base)
     Ka, N = la.shape
     Kb = lb.shape[0]
-    overlap = np.empty((Kb, Ka))
-    gap = np.empty((Kb, Ka))
-    union = np.empty((Kb, Ka))
+    iou = np.empty((Kb, Ka))
+    la_, ra_, ma_ = la[None, :, :], ra[None, :, :], ma[None, :, :]
     step = max(1, _CHUNK_ELEMS // max(1, Ka * N))
     for s in range(0, Kb, step):
         e = min(Kb, s + step)
         lb_, rb_, mb_ = lb[s:e, None, :], rb[s:e, None, :], mb[s:e, None, :]
-        la_, ra_, ma_ = la[None, :, :], ra[None, :, :], ma[None, :, :]
         both = ma_ & mb_
         only_a = ma_ & ~mb_
         only_b = mb_ & ~ma_
         o = np.clip(np.minimum(ra_, rb_) - np.maximum(la_, lb_), 0.0, None)
-        x = np.clip(np.maximum(la_, lb_) - np.minimum(ra_, rb_), 0.0, None)
         u = np.maximum(ra_, rb_) - np.minimum(la_, lb_)
-        overlap[s:e] = np.sum(o * both, axis=-1)
-        gap[s:e] = np.sum(x * both, axis=-1)
-        union[s:e] = (
+        score = np.sum(o * both, axis=-1)
+        if g:
+            x = np.clip(np.maximum(la_, lb_) - np.minimum(ra_, rb_), 0.0, None)
+            score = score - g * np.sum(x * both, axis=-1)
+        union = (
             np.sum(u * both, axis=-1)
             + np.sum((ra_ - la_) * only_a, axis=-1)
             + np.sum((rb_ - lb_) * only_b, axis=-1)
         )
-    return overlap, gap, union
-
-
-def pair_sums_from_arrays(xs_a, valid_a, xs_b, valid_b, rows_y, w_base: float):
-    """Array-level entry point used by suppression and evaluation code."""
-    la, ra, ma = stack_boundaries(xs_a, valid_a, rows_y, w_base)
-    lb, rb, mb = stack_boundaries(xs_b, valid_b, rows_y, w_base)
-    return _pair_sums(la, ra, ma, lb, rb, mb)
+        iou[s:e] = score / union
+    return iou
 
 
 def glane_iou(p: LaneGrid, q: LaneGrid, params: GIoUParams) -> float:
@@ -160,14 +160,7 @@ def glane_iou(p: LaneGrid, q: LaneGrid, params: GIoUParams) -> float:
 
     With g = 0 the value lies in [0, 1]; disjoint y-ranges give 0.
     """
-    if p.frame != q.frame:
-        raise ShapeError("lanes must share one frame")
-    overlap, gap, union = pair_sums_from_arrays(
-        p.xs[None, :], np.array([p.valid]),
-        q.xs[None, :], np.array([q.valid]),
-        p.frame.rows_y, params.w_base,
-    )
-    return float((overlap[0, 0] - params.g * gap[0, 0]) / union[0, 0])
+    return float(iou_matrix([p], [q], params)[0, 0])
 
 
 def iou_matrix(set_a: list[LaneGrid], set_b: list[LaneGrid], params: GIoUParams) -> np.ndarray:
@@ -182,5 +175,4 @@ def iou_matrix(set_a: list[LaneGrid], set_b: list[LaneGrid], params: GIoUParams)
     xs_b = np.stack([lane.xs for lane in set_b])
     va = np.array([lane.valid for lane in set_a])
     vb = np.array([lane.valid for lane in set_b])
-    overlap, gap, union = pair_sums_from_arrays(xs_a, va, xs_b, vb, frame.rows_y, params.w_base)
-    return (overlap - params.g * gap) / union
+    return pairwise_iou(xs_a, va, xs_b, vb, frame.rows_y, params.w_base, params.g)

@@ -189,14 +189,6 @@ def load_weights(path) -> HeadWeights:
     return HeadWeights.from_json_dict(blob, path=str(path))
 
 
-@dataclass(frozen=True, eq=False)
-class PooledFeatures:
-    """Per-candidate RoI vectors plus the anchor x-samples the edges use."""
-
-    rois: np.ndarray       # (K, d_r)
-    anchor_xs: np.ndarray  # (K, N)
-
-
 def aggregate_levels(level_feats, level_weights) -> np.ndarray:
     """Convex per-row combination of three feature levels.
 
@@ -289,7 +281,7 @@ def head_forward(
     anchor_xs,
     thresholds: SuppressionThresholds,
     weights: HeadWeights,
-) -> tuple[PooledFeatures, np.ndarray]:
+) -> np.ndarray:
     """Full head pass: features -> RoI -> adjacency -> edges -> pool -> scores.
 
     Args:
@@ -299,7 +291,7 @@ def head_forward(
         anchor_xs: (K, N) raw anchor x-samples (pre-regression).
 
     Returns:
-        (PooledFeatures, scores_o2o) with scores of shape (K,).
+        scores_o2o of shape (K,).
     """
     feats = np.asarray(level_feats, dtype=float)
     k = feats.shape[0]
@@ -315,5 +307,4 @@ def head_forward(
     adjacency = confidence_adjacency(scores_o2m) & geometric_adjacency(thetas, radii, thresholds)
     edges = edge_tensor(rois, anchor_xs, weights)
     pooled = masked_max_pool(edges, adjacency)
-    scores = node_scores(pooled, weights.node_mlp)
-    return PooledFeatures(rois=rois, anchor_xs=np.asarray(anchor_xs, float)), scores
+    return node_scores(pooled, weights.node_mlp)

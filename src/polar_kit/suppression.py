@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MissingO2OScores, ShapeError
-from .geometry import ImageFrame, LaneGrid, Pole, PolarAnchor
-from .laneiou import pair_sums_from_arrays
+from .errors import InvalidInput, MissingO2OScores, ShapeError
+from .geometry import ImageFrame, LaneGrid, Pole
+from .laneiou import pairwise_iou
 
 DistanceFn = Callable[["CandidateSet"], np.ndarray]
 
@@ -46,15 +46,17 @@ class SuppressionThresholds:
                 raise ValueError(f"{name} must lie in (0, 1)")
 
 
-@dataclass(frozen=True, eq=False)
-class Candidate:
-    """Single-candidate view: global-polar anchor, regressed lane, two scores."""
+def _frozen(values, dtype) -> np.ndarray:
+    """Read-only view of ``values`` as ``dtype``; the caller's array stays writable."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
 
-    anchor: PolarAnchor
-    lane: LaneGrid
-    score_o2m: float
-    score_o2o: float | None
-    index: int
+
+def _check_scores(name: str, scores: np.ndarray) -> None:
+    # Written so that NaN fails too.
+    if not np.all((scores >= 0) & (scores <= 1)):
+        raise InvalidInput(f"{name} must lie in [0, 1]")
 
 
 @dataclass(eq=False)
@@ -63,7 +65,8 @@ class CandidateSet:
 
     ``anchor_xs`` holds the raw anchor-line samples, ``lane_xs`` the regressed
     lane (anchor plus offsets).  ``scores_o2o`` stays None until a one-to-one
-    scorer runs.  Treated as immutable after construction.
+    scorer runs.  Construction validates shapes, finiteness and ranges, and
+    stores read-only views, so a set is immutable once built.
     """
 
     frame: ImageFrame
@@ -77,12 +80,14 @@ class CandidateSet:
     pole: Pole | None = None
 
     def __post_init__(self):
-        self.thetas = np.asarray(self.thetas, dtype=float)
-        self.radii = np.asarray(self.radii, dtype=float)
-        self.anchor_xs = np.asarray(self.anchor_xs, dtype=float)
-        self.lane_xs = np.asarray(self.lane_xs, dtype=float)
-        self.valid = np.asarray(self.valid, dtype=int)
-        self.scores_o2m = np.asarray(self.scores_o2m, dtype=float)
+        self.thetas = _frozen(self.thetas, float)
+        self.radii = _frozen(self.radii, float)
+        self.anchor_xs = _frozen(self.anchor_xs, float)
+        self.lane_xs = _frozen(self.lane_xs, float)
+        self.valid = _frozen(self.valid, int)
+        self.scores_o2m = _frozen(self.scores_o2m, float)
+        if self.thetas.ndim != 1:
+            raise ShapeError("thetas must be one-dimensional")
         k = self.thetas.shape[0]
         n = self.frame.n_rows
         if self.radii.shape != (k,) or self.scores_o2m.shape != (k,):
@@ -91,14 +96,21 @@ class CandidateSet:
             raise ShapeError(f"per-candidate xs arrays must have shape ({k}, {n})")
         if self.valid.shape != (k, 2):
             raise ShapeError(f"valid must have shape ({k}, 2)")
-        if np.any(self.scores_o2m < 0) or np.any(self.scores_o2m > 1):
-            raise ValueError("scores_o2m must lie in [0, 1]")
+        if not (np.all(np.isfinite(self.thetas)) and np.all(np.isfinite(self.radii))):
+            raise InvalidInput("thetas and radii must be finite")
+        lo, hi = self.valid[:, 0], self.valid[:, 1]
+        if np.any(lo < 0) or np.any(hi >= n) or np.any(hi - lo < 1):
+            raise InvalidInput(f"valid ranges must lie in [0, {n}) and span at least 2 rows")
+        rows = np.arange(n)
+        inside = (rows >= lo[:, None]) & (rows <= hi[:, None])
+        if not np.all(np.isfinite(self.lane_xs[inside])):
+            raise InvalidInput("lane_xs must be finite on the valid rows")
+        _check_scores("scores_o2m", self.scores_o2m)
         if self.scores_o2o is not None:
-            self.scores_o2o = np.asarray(self.scores_o2o, dtype=float)
+            self.scores_o2o = _frozen(self.scores_o2o, float)
             if self.scores_o2o.shape != (k,):
                 raise ShapeError("scores_o2o must match the candidate count")
-            if np.any(self.scores_o2o < 0) or np.any(self.scores_o2o > 1):
-                raise ValueError("scores_o2o must lie in [0, 1]")
+            _check_scores("scores_o2o", self.scores_o2o)
 
     def __len__(self) -> int:
         return self.thetas.shape[0]
@@ -108,17 +120,6 @@ class CandidateSet:
 
     def lanes(self) -> list[LaneGrid]:
         return [self.lane(i) for i in range(len(self))]
-
-    def candidate(self, i: int) -> Candidate:
-        if self.pole is None:
-            raise ValueError("candidate views need the set's global pole")
-        return Candidate(
-            anchor=PolarAnchor(float(self.thetas[i]), float(self.radii[i]), self.pole),
-            lane=self.lane(i),
-            score_o2m=float(self.scores_o2m[i]),
-            score_o2o=None if self.scores_o2o is None else float(self.scores_o2o[i]),
-            index=i,
-        )
 
     def with_o2o(self, scores) -> "CandidateSet":
         return replace(self, scores_o2o=np.asarray(scores, dtype=float))
@@ -161,11 +162,9 @@ def iou_distance(w_base: float) -> DistanceFn:
     """
 
     def matrix(cands: "CandidateSet") -> np.ndarray:
-        overlap, _, union = pair_sums_from_arrays(
-            cands.lane_xs, cands.valid, cands.lane_xs, cands.valid,
-            cands.frame.rows_y, w_base,
+        return 1.0 - pairwise_iou(
+            cands.lane_xs, cands.valid, cands.lane_xs, cands.valid, cands.frame.rows_y, w_base
         )
-        return 1.0 - overlap / union
 
     return matrix
 

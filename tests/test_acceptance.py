@@ -196,10 +196,10 @@ def test_c06_masking_locality_bitwise():
         if not unaffected:
             continue
         trials += 1
-        _, s1 = pk.head_forward(feats, scores, thetas, radii, xs, gate, weights)
+        s1 = pk.head_forward(feats, scores, thetas, radii, xs, gate, weights)
         feats2 = feats.copy()
         feats2[m] += rng.standard_normal((3, n, c_f))
-        _, s2 = pk.head_forward(feats2, scores, thetas, radii, xs, gate, weights)
+        s2 = pk.head_forward(feats2, scores, thetas, radii, xs, gate, weights)
         for j in unaffected:
             assert s1[j] == s2[j], f"score {j} changed under perturbation of {m}"
     report("C6", "200 perturbation trials: non-neighbor scores bitwise unchanged")

@@ -66,10 +66,6 @@ class TestCostMatrix:
         c = cost_matrix(rng.uniform(0, 1, 8), rng.uniform(0, 1, (3, 8)), beta=6.0)
         assert np.all((c >= 0) & (c <= 1))
 
-    def test_mode_validation(self):
-        with pytest.raises(InvalidInput):
-            cost_matrix([0.5], [[0.5]], beta=6.0, mode="both")
-
 
 class TestHungarian:
     def test_dominant_diagonal(self):

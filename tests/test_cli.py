@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from polar_kit import cli
 from polar_kit.cli import main
 
 
@@ -119,6 +122,20 @@ class TestRunPipelineAndEval:
     def test_bad_mode_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"pipeline": {"mode": "magic"}})
         assert main(["run-pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_bad_tau_d_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", {"suppression": {"tau_d": -1.0}})
+        assert main(["run-pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "tau_d" in capsys.readouterr().err
+
+    def test_internal_type_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(run):
+            raise TypeError("internal failure")
+
+        monkeypatch.setattr(cli, "run_pipeline", broken)
+        cfg = write_config(tmp_path / "cfg.json", self.CONFIG)
+        with pytest.raises(TypeError, match="internal failure"):
+            main(["run-pipeline", "--config", cfg, "--out", str(tmp_path / "o")])
 
     def test_missing_preds_dir_exit_3(self, tmp_path):
         assert main(["eval", "--preds", str(tmp_path / "nope"), "--gts", str(tmp_path / "nope"),

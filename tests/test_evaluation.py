@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polar_kit import LaneGrid, MetricsReport, f1_suite, match_lanes, tusimple_metrics
+from polar_kit import ImageFrame, LaneGrid, MetricsReport, f1_suite, match_lanes, tusimple_metrics
 from polar_kit.evaluation import MF1_THRESHOLDS, ThresholdMetrics
-from oracles import brute_force_matching
+from oracles import brute_force_matching, interval_iou_oracle
 
 
 def lanes_at(frame, positions, lo=0, hi=None):
@@ -103,6 +105,56 @@ class TestF1Suite:
     def test_unsorted_thresholds_rejected(self, frame):
         with pytest.raises(ValueError):
             f1_suite([[]], [[]], thresholds=(0.75, 0.5))
+
+
+_FRAME = ImageFrame(width=800, height=320, n_rows=36)
+
+
+@st.composite
+def _vertical_lanes(draw, max_count):
+    # Vertical lanes at integer x have integer interval sums, so every IoU is
+    # the same float in the oracle and in the kernel.  A 5 px position step
+    # makes exact hits common: 10 px apart over full rows gives IoU 0.5.
+    full = (0, _FRAME.n_rows - 1)
+    ranges = st.one_of(
+        st.just(full),
+        st.integers(0, _FRAME.n_rows - 2).flatmap(
+            lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, _FRAME.n_rows - 1))
+        ),
+    )
+    lanes = []
+    for _ in range(draw(st.integers(0, max_count))):
+        xs = np.full(_FRAME.n_rows, 100.0 + 5 * draw(st.integers(0, 10)))
+        lanes.append(LaneGrid(xs=xs, valid=draw(ranges), frame=_FRAME))
+    return lanes
+
+
+_SCENES = st.lists(st.tuples(_vertical_lanes(4), _vertical_lanes(3)), min_size=1, max_size=3)
+
+
+def _oracle_iou(preds, gts, w_base):
+    iou = [[interval_iou_oracle(p, q, w_base) for p in preds] for q in gts]
+    return np.array(iou).reshape(len(gts), len(preds))
+
+
+class TestF1SuiteOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(scenes=_SCENES, order=st.randoms(use_true_random=False))
+    def test_counts_equal_oracle_and_ignore_scene_order(self, scenes, order):
+        report = f1_suite([p for p, _ in scenes], [g for _, g in scenes], w_base=15.0)
+        ious = [_oracle_iou(preds, gts, 15.0) for preds, gts in scenes]
+        for row in report.rows:
+            # Pooled reference counts from the row-loop oracle and permutation search.
+            tp = fp = fn = 0
+            for iou in ious:
+                count = brute_force_matching(iou, row.threshold)[0]
+                g, k = iou.shape
+                tp, fp, fn = tp + count, fp + k - count, fn + g - count
+            assert (row.tp, row.fp, row.fn) == (tp, fp, fn)
+        shuffled = list(scenes)
+        order.shuffle(shuffled)
+        again = f1_suite([p for p, _ in shuffled], [g for _, g in shuffled], w_base=15.0)
+        assert again == report
 
 
 class TestTusimple:

@@ -172,12 +172,14 @@ class TestIouMatrix:
         with pytest.raises(ShapeError):
             iou_matrix([vertical_lane(10.0)], [lane_other], self.P0)
 
-    def test_chunked_assembly_matches_single_block(self, frame, monkeypatch):
+    @pytest.mark.parametrize("g", [0.0, 1.0])
+    def test_chunked_assembly_matches_single_block(self, frame, monkeypatch, g):
         import polar_kit.laneiou as li
 
+        params = GIoUParams(g=g, w_base=15.0)
         rng = np.random.default_rng(11)
         lanes = [random_lane(rng, frame) for _ in range(9)]
-        whole = iou_matrix(lanes, lanes, self.P0)
+        whole = iou_matrix(lanes, lanes, params)
         monkeypatch.setattr(li, "_CHUNK_ELEMS", 100)  # force many tiny chunks
-        chunked = iou_matrix(lanes, lanes, self.P0)
+        chunked = iou_matrix(lanes, lanes, params)
         assert np.array_equal(whole, chunked)

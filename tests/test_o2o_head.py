@@ -187,9 +187,8 @@ class TestHeadForward:
     def test_k1_single_score(self, weights):
         rng = np.random.default_rng(14)
         feats, scores, thetas, radii, xs = random_inputs(rng, 1)
-        pooled, s = head_forward(feats, scores, thetas, radii, xs, OPEN, weights)
+        s = head_forward(feats, scores, thetas, radii, xs, OPEN, weights)
         assert s.shape == (1,)
-        assert pooled.rois.shape == (1, D_R)
 
     def test_duplicate_pooling_direction(self, weights):
         # the higher-score duplicate has no in-edges, so it pools zeros;
@@ -206,7 +205,7 @@ class TestHeadForward:
         pooled = masked_max_pool(edge_tensor(rois, xs, weights), adjacency)
         assert np.array_equal(pooled[0], np.zeros(D_N))
         assert np.any(pooled[1] != 0)
-        _, s = head_forward(feats, scores, thetas, radii, xs, OPEN, weights)
+        s = head_forward(feats, scores, thetas, radii, xs, OPEN, weights)
         expect = node_scores(pooled, weights.node_mlp)
         assert np.array_equal(s, expect)
 
@@ -216,11 +215,11 @@ class TestHeadForward:
             k = int(rng.integers(2, 10))
             feats, scores, thetas, radii, xs = random_inputs(rng, k)
             adjacency = confidence_adjacency(scores) & geometric_adjacency(thetas, radii, OPEN)
-            _, s = head_forward(feats, scores, thetas, radii, xs, OPEN, weights)
+            s = head_forward(feats, scores, thetas, radii, xs, OPEN, weights)
             m = int(rng.integers(0, k))
             feats2 = feats.copy()
             feats2[m] += rng.standard_normal((3, N, C_F))
-            _, s2 = head_forward(feats2, scores, thetas, radii, xs, OPEN, weights)
+            s2 = head_forward(feats2, scores, thetas, radii, xs, OPEN, weights)
             for j in range(k):
                 if j != m and not adjacency[m, j]:
                     assert s[j] == s2[j]  # bitwise
@@ -228,8 +227,8 @@ class TestHeadForward:
     def test_deterministic_across_runs(self, weights):
         rng = np.random.default_rng(17)
         feats, scores, thetas, radii, xs = random_inputs(rng, 6)
-        _, a = head_forward(feats, scores, thetas, radii, xs, OPEN, weights)
-        _, b = head_forward(feats.copy(), scores.copy(), thetas.copy(), radii.copy(),
+        a = head_forward(feats, scores, thetas, radii, xs, OPEN, weights)
+        b = head_forward(feats.copy(), scores.copy(), thetas.copy(), radii.copy(),
                             xs.copy(), OPEN, weights)
         assert np.array_equal(a, b)
 
@@ -253,9 +252,8 @@ class TestHeadForward:
         thetas = rng.uniform(-0.5, 0.5, size=k)
         radii = rng.uniform(-50, 50, size=k)
         xs = rng.uniform(0, 800, size=(k, n))
-        pooled, s = head_forward(feats, scores, thetas, radii, xs, OPEN, w)
+        s = head_forward(feats, scores, thetas, radii, xs, OPEN, w)
         assert s.shape == (k,)
-        assert pooled.rois.shape == (k, d_r)
         assert np.all((s > 0) & (s < 1))
 
 
@@ -268,8 +266,8 @@ class TestWeightsIO:
         assert np.array_equal(loaded.node_mlp[2][0], weights.node_mlp[2][0])
         rng = np.random.default_rng(19)
         feats, scores, thetas, radii, xs = random_inputs(rng, 4)
-        _, a = head_forward(feats, scores, thetas, radii, xs, OPEN, weights)
-        _, b = head_forward(feats, scores, thetas, radii, xs, OPEN, loaded)
+        a = head_forward(feats, scores, thetas, radii, xs, OPEN, weights)
+        b = head_forward(feats, scores, thetas, radii, xs, OPEN, loaded)
         assert np.array_equal(a, b)
 
     def test_bad_version(self, tmp_path, weights):

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from polar_kit import (
     CandidateSet,
+    InvalidInput,
     MissingO2OScores,
+    ParseError,
     Pole,
     SuppressionThresholds,
     confidence_adjacency,
@@ -13,6 +17,7 @@ from polar_kit import (
     iou_distance,
     sequential_nms,
 )
+from polar_kit.harness import read_candidates
 from oracles import reference_fast_nms
 
 WIDE_OPEN = SuppressionThresholds(tau_theta=1e9, lambda_g=1e9, tau_d=0.5, tau_o2m=0.3)
@@ -224,3 +229,93 @@ class TestThresholdValidation:
     def test_rejects_out_of_range_scores(self):
         with pytest.raises(ValueError):
             SuppressionThresholds(0.1, 1.0, 0.5, tau_o2m=1.5)
+
+
+def set_arrays(frame):
+    """Keyword arguments of a valid three-candidate set, as fresh writable arrays."""
+    xs = np.tile(np.array([[100.0], [300.0], [500.0]]), (1, frame.n_rows))
+    return dict(
+        thetas=np.zeros(3), radii=xs[:, 0].copy(), anchor_xs=xs.copy(), lane_xs=xs.copy(),
+        valid=np.tile([0, frame.n_rows - 1], (3, 1)), scores_o2m=np.array([0.9, 0.8, 0.7]),
+    )
+
+
+def write_raw_candidates(path, frame, arrays):
+    """Candidate file written straight from arrays, bypassing CandidateSet."""
+    entries = [
+        {"theta": t, "radius": r, "anchor_xs": a, "lane_xs": x, "valid": v,
+         "score_o2m": s, "score_o2o": None}
+        for t, r, a, x, v, s in zip(*(arrays[k].tolist() for k in (
+            "thetas", "radii", "anchor_xs", "lane_xs", "valid", "scores_o2m")))
+    ]
+    blob = {"version": 1, "frame": {"w": frame.width, "h": frame.height, "n_rows": frame.n_rows},
+            "pole": {"x": 400.0, "y": 192.0}, "candidates": entries, "meta": {}}
+    path.write_text(json.dumps(blob))
+
+
+# Inputs that both NMS paths used to accept silently, returning a selection.
+CONFIRMED_BAD = {
+    "nan-score": ("scores_o2m", (1,), np.nan),
+    "nan-lane-x-in-valid-rows": ("lane_xs", (1, 3), np.nan),
+    "valid-range-outside-frame": ("valid", (1,), [5, 99]),
+}
+
+
+class TestCandidateSetValidation:
+    @pytest.mark.parametrize("field, where, value", CONFIRMED_BAD.values(), ids=CONFIRMED_BAD)
+    def test_rejects_confirmed_bad_inputs(self, frame, tmp_path, field, where, value):
+        arrays = set_arrays(frame)
+        arrays[field][where] = value
+        with pytest.raises(InvalidInput):
+            CandidateSet(frame=frame, **arrays)
+        path = tmp_path / "cands.json"
+        write_raw_candidates(path, frame, arrays)
+        with pytest.raises(ParseError, match="cands.json"):
+            read_candidates(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("thetas", np.inf), ("radii", np.nan), ("scores_o2m", 1.5),
+    ])
+    def test_rejects_bad_anchor_params_and_scores(self, frame, field, value):
+        arrays = set_arrays(frame)
+        arrays[field][0] = value
+        with pytest.raises(InvalidInput):
+            CandidateSet(frame=frame, **arrays)
+
+    def test_rejects_single_row_range(self, frame):
+        arrays = set_arrays(frame)
+        arrays["valid"][2] = [4, 4]
+        with pytest.raises(InvalidInput):
+            CandidateSet(frame=frame, **arrays)
+
+    def test_rejects_nan_o2o_scores(self, frame):
+        cs = CandidateSet(frame=frame, **set_arrays(frame))
+        with pytest.raises(InvalidInput):
+            cs.with_o2o([0.5, np.nan, 0.5])
+
+    def test_nan_lane_x_outside_valid_rows_allowed(self, frame):
+        arrays = set_arrays(frame)
+        arrays["valid"][0] = [2, 10]
+        arrays["lane_xs"][0, 20:] = np.nan
+        assert len(CandidateSet(frame=frame, **arrays)) == 3
+
+    def test_read_rejects_non_finite_pole(self, frame, tmp_path):
+        path = tmp_path / "cands.json"
+        write_raw_candidates(path, frame, set_arrays(frame))
+        blob = json.loads(path.read_text())
+        blob["pole"]["x"] = float("nan")
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ParseError, match="pole"):
+            read_candidates(path)
+
+    def test_arrays_are_read_only_but_callers_are_not(self, frame):
+        arrays = set_arrays(frame)
+        cs = CandidateSet(frame=frame, **arrays)
+        scored = cs.with_o2o([0.1, 0.2, 0.3])
+        for arr in (cs.thetas, cs.radii, cs.anchor_xs, cs.lane_xs, cs.valid, cs.scores_o2m,
+                    scored.scores_o2o):
+            assert not arr.flags.writeable
+        for arr in arrays.values():
+            assert arr.flags.writeable
+        with pytest.raises(ValueError):
+            cs.lane_xs[0, 0] = 1.0
