@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import contextmanager
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import config as defaults
@@ -39,7 +41,6 @@ from .harness import (
     write_selections,
 )
 from .harness.fileio import read_scene_dir
-from .suppression import SuppressionThresholds
 
 _CONFIG_SECTIONS = ("scenes", "candidates", "suppression", "pipeline", "labels")
 
@@ -82,83 +83,84 @@ def _section(cfg: dict, name: str, allowed: set[str]) -> dict:
     return dict(blob)
 
 
-def _frame_from_scene_cfg(blob: dict) -> ImageFrame:
-    return ImageFrame(
-        width=int(blob.pop("width", defaults.DEFAULT_WIDTH)),
-        height=int(blob.pop("height", defaults.DEFAULT_HEIGHT)),
-        n_rows=int(blob.pop("n_rows", defaults.DEFAULT_SAMPLE_ROWS)),
-    )
+def _fields(cls, *omit: str) -> set[str]:
+    return {f.name for f in fields(cls)} - set(omit)
+
+
+_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _typed(key: str, value, like):
+    """``value`` if it has the JSON type of ``like``, else ConfigError naming ``key``.
+
+    A float key takes any finite number and stores it as a float; true and
+    false are never numbers; a tuple key takes a list of the same length,
+    checked element by element.
+    """
+    kind = type(like)
+    if kind is tuple:
+        if type(value) is list and len(value) == len(like):
+            return tuple(_typed(f"{key}[{i}]", v, d) for i, (v, d) in enumerate(zip(value, like)))
+        raise ConfigError(f"{key} must be a list of {len(like)} values, got {json.dumps(value)}")
+    if kind is float and type(value) in (int, float):
+        if abs(value) <= sys.float_info.max:  # false for NaN, inf and ints past float range
+            return float(value)
+    elif type(value) is kind:
+        return value
+    raise ConfigError(f"{key} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
+
+
+def _get(name: str, blob: dict, key: str, default):
+    return _typed(f"{name}.{key}", blob[key], default) if key in blob else default
+
+
+def _apply(name: str, blob: dict, base, **fixed):
+    """``base`` with ``fixed`` and the keys of section ``name`` that are its fields.
+
+    A value the dataclass rejects raises ConfigError naming the section keys
+    its message mentions.
+    """
+    values = {
+        f.name: _typed(f"{name}.{f.name}", blob[f.name], getattr(base, f.name))
+        for f in fields(base) if f.name in blob
+    }
+    try:
+        return replace(base, **values, **fixed)
+    except (PolarKitError, ValueError) as exc:
+        keys = [f"{name}.{k}" for k in values if re.search(rf"\b{k}\b", str(exc))]
+        raise ConfigError(f"{', '.join(keys) or name}: {exc}") from exc
+
+
+def _read(cfg: dict, name: str, base, *omit: str):
+    """``base`` with config section ``name`` applied; its keys are the fields not omitted."""
+    return _apply(name, _section(cfg, name, _fields(type(base), *omit)), base)
 
 
 def _scene_specs(cfg: dict, seed: int) -> list[SceneSpec]:
     blob = _section(
-        cfg, "scenes",
-        {"count", "kind", "lane_count", "curvature", "branch_frac",
-         "fork_separation", "width", "height", "n_rows"},
+        cfg, "scenes", {"count"} | _fields(ImageFrame) | _fields(SceneSpec, "frame", "seed")
     )
-    count = int(blob.pop("count", 8))
+    count = _get("scenes", blob, "count", 8)
     if count < 1:
         raise ConfigError("scenes.count must be >= 1")
-    frame = _frame_from_scene_cfg(blob)
-    kind = str(blob.pop("kind", "sparse"))
-    lane_count = int(blob.pop("lane_count", 4))
-    curvature = tuple(blob.pop("curvature", (-25.0, 25.0)))
-    branch_frac = float(blob.pop("branch_frac", 0.45))
-    fork_separation = float(blob.pop("fork_separation", 60.0))
-    return [
-        SceneSpec(
-            frame=frame, kind=kind, lane_count=lane_count, curvature=curvature,
-            branch_frac=branch_frac, fork_separation=fork_separation,
-            seed=child_seed(seed, i),
-        )
-        for i in range(count)
-    ]
-
-
-def _candidate_spec(cfg: dict, seed: int) -> CandidateGenSpec:
-    blob = _section(
-        cfg, "candidates",
-        {"n_per_gt", "sigma_theta", "sigma_r", "sigma_x", "sigma_score",
-         "score_noise", "n_background", "background_score_cap", "seed"},
-    )
-    blob.setdefault("seed", seed)
-    return CandidateGenSpec(**blob)
-
-
-def _thresholds(cfg: dict) -> SuppressionThresholds:
-    blob = _section(
-        cfg, "suppression", {"tau_theta", "lambda_g", "tau_d", "tau_o2m", "tau_o2o"}
-    )
-    merged = {
-        "tau_theta": defaults.DEFAULT_TAU_THETA,
-        "lambda_g": defaults.DEFAULT_LAMBDA_G,
-        "tau_d": defaults.DEFAULT_TAU_D,
-        "tau_o2m": defaults.DEFAULT_TAU_O2M,
-        "tau_o2o": defaults.DEFAULT_TAU_O2O,
-    }
-    merged.update(blob)
-    return SuppressionThresholds(**merged)
+    frame = defaults.default_frame()
+    base = SceneSpec(frame=frame, kind="sparse", lane_count=4)
+    # The frame goes in with the other keys, so lane_count is checked against its width.
+    spec = _apply("scenes", blob, base, frame=_apply("scenes", blob, frame))
+    return [replace(spec, seed=child_seed(seed, i)) for i in range(count)]
 
 
 def _pipeline_run(cfg: dict, seed: int) -> PipelineRun:
-    blob = _section(
-        cfg, "pipeline",
-        {"mode", "nms_width", "eval_w_base", "oracle_o2o", "head_seed",
-         "feat_c_f", "feat_d_r", "feat_d_n"},
-    )
-    return PipelineRun(
+    base = PipelineRun(
         scenes=tuple(_scene_specs(cfg, seed)),
-        candidates=_candidate_spec(cfg, seed),
-        mode=str(blob.get("mode", "sequential")),
-        thresholds=_thresholds(cfg),
-        nms_width=float(blob.get("nms_width", defaults.NMS_WIDTH_OPTIMAL_PX)),
-        eval_w_base=float(blob.get("eval_w_base", defaults.DEFAULT_W_BASE)),
-        oracle_o2o=bool(blob.get("oracle_o2o", False)),
-        head_seed=int(blob.get("head_seed", seed)),
-        feat_c_f=int(blob.get("feat_c_f", 8)),
-        feat_d_r=int(blob.get("feat_d_r", 16)),
-        feat_d_n=int(blob.get("feat_d_n", defaults.DEFAULT_D_N)),
+        candidates=_read(cfg, "candidates", CandidateGenSpec(seed=seed)),
+        mode="sequential",
+        thresholds=_read(cfg, "suppression", defaults.default_thresholds()),
+        nms_width=defaults.NMS_WIDTH_OPTIMAL_PX,
+        eval_w_base=defaults.DEFAULT_W_BASE,
+        head_seed=seed,
     )
+    return _read(cfg, "pipeline", base, "scenes", "candidates", "thresholds", "eval_thresholds")
 
 
 def _out_dir(args) -> Path:
@@ -168,9 +170,7 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_gen_scenes(args) -> int:
-    cfg = _load_config(args.config)
-    with _user_values():
-        specs = _scene_specs(cfg, args.seed)
+    specs = _scene_specs(_load_config(args.config), args.seed)
     out = _out_dir(args)
     for i, spec in enumerate(specs):
         lanes = gen_scene(spec)
@@ -187,12 +187,12 @@ def _cmd_labels(args) -> int:
         blob["lambda_l"] = args.lambda_l
     if "lambda_l" not in blob:
         raise ConfigError("labels.lambda_l is required (config key or --lambda-l)")
+    grid = _get("labels", blob, "grid", defaults.SPARSE_GRID)
     with _user_values():
-        grid = tuple(int(v) for v in blob.get("grid", defaults.SPARSE_GRID))
         lpm = LpmConfig(
             grid_rows=grid[0], grid_cols=grid[1],
-            lambda_l=float(blob["lambda_l"]),
-            top_k=int(blob.get("top_k", min(defaults.SPARSE_TOP_K, grid[0] * grid[1]))),
+            lambda_l=_typed("labels.lambda_l", blob["lambda_l"], 0.0),
+            top_k=_get("labels", blob, "top_k", min(defaults.SPARSE_TOP_K, grid[0] * grid[1])),
         )
     scenes = read_scene_dir(args.scenes)
     per_scene = []
@@ -209,9 +209,7 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_run_pipeline(args) -> int:
-    cfg = _load_config(args.config)
-    with _user_values():
-        run = _pipeline_run(cfg, args.seed)
+    run = _pipeline_run(_load_config(args.config), args.seed)
     result = run_pipeline(run)
     out = _out_dir(args)
 
@@ -278,6 +276,13 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polar-kit",
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+        p.add_argument("--seed", type=_seed, default=0, help="base RNG seed (>= 0)")
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, required=True, help="output directory")
 

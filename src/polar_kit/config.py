@@ -1,7 +1,7 @@
 """Default hyperparameters and preset factories.
 
-Values marked "sparse"/"dense" mirror the two published evaluation regimes;
-everything is overridable at call sites.
+Each default is stated once: here when no dataclass carries it, otherwise on
+the dataclass field.  Everything is overridable at call sites.
 """
 
 from __future__ import annotations
@@ -13,36 +13,16 @@ from .suppression import SuppressionThresholds
 DEFAULT_WIDTH = 800
 DEFAULT_HEIGHT = 320
 DEFAULT_SAMPLE_ROWS = 36
-DEFAULT_REGRESSION_ROWS = 72  # finer grid used by full-scale regression heads
 
 # Interval IoU base semi-width (30 px total lane width at 800x320).
 DEFAULT_W_BASE = 15.0
 
-# Local-pole grids and anchor counts per regime.
+# Local-pole grid and anchor count of the sparse regime.
 SPARSE_GRID = (4, 10)
 SPARSE_TOP_K = 20
-DENSE_GRID = (6, 13)
-DENSE_TOP_K = 50
 
-# Confidence thresholds for dual selection.
-DEFAULT_TAU_O2M = 0.48
-DEFAULT_TAU_O2O = 0.46
-
-# Edge-feature dimension of the one-to-one head.
-DEFAULT_D_N = 5
-
-# Assignment cost exponent and SimOTA caps.
-DEFAULT_BETA = 6.0
-DEFAULT_K_DYNAMIC = 4
-DEFAULT_TOPK_FOR_DYNAMIC = 10
-
-# Loss weights (the two published ones; the rest default to 1.0).
-DEFAULT_W_AUX = 0.2
-DEFAULT_W_RANK = 0.7
-
-# Width presets for the classic-NMS distance function: the conservative
-# default and the aggressive-recall setting, in pixels of semi-width.
-NMS_WIDTH_DEFAULT_PX = 50.0
+# Semi-width (px) of the classic-NMS distance function at its aggressive-recall
+# setting; 50 px is the conservative one.
 NMS_WIDTH_OPTIMAL_PX = 15.0
 
 # Suppression thresholds with no published values; chosen for the synthetic
@@ -66,13 +46,8 @@ def default_global_pole(frame: ImageFrame) -> Pole:
     return Pole(x=x, y=frame.height - y_img, kind="global")
 
 
-def default_thresholds(
-    tau_o2m: float = DEFAULT_TAU_O2M, tau_o2o: float = DEFAULT_TAU_O2O
-) -> SuppressionThresholds:
+def default_thresholds() -> SuppressionThresholds:
+    """Harness gates and distance cut; the score cuts are the dataclass defaults."""
     return SuppressionThresholds(
-        tau_theta=DEFAULT_TAU_THETA,
-        lambda_g=DEFAULT_LAMBDA_G,
-        tau_d=DEFAULT_TAU_D,
-        tau_o2m=tau_o2m,
-        tau_o2o=tau_o2o,
+        tau_theta=DEFAULT_TAU_THETA, lambda_g=DEFAULT_LAMBDA_G, tau_d=DEFAULT_TAU_D
     )

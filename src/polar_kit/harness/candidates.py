@@ -52,6 +52,8 @@ class CandidateGenSpec:
             raise InvalidSpec("background_score_cap must lie in [0, 1]")
         if self.score_noise < 0:
             raise InvalidSpec("score_noise must be >= 0")
+        if self.seed < 0:
+            raise InvalidSpec("seed must be >= 0")
 
 
 def gen_candidates(

@@ -59,6 +59,10 @@ class PipelineRun:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.nms_width <= 0 or self.eval_w_base <= 0:
             raise ConfigError("nms_width and eval_w_base must be positive")
+        if self.head_seed < 0:
+            raise ConfigError("head_seed must be >= 0")
+        if min(self.feat_c_f, self.feat_d_r, self.feat_d_n) < 1:
+            raise ConfigError("feat_c_f, feat_d_r and feat_d_n must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -229,6 +233,8 @@ def bench_suppression(
     """
     from ..config import default_frame, default_thresholds
 
+    if repetitions < 1:
+        raise ConfigError("bench repetitions must be >= 1")
     frame = frame or default_frame()
     thresholds = thresholds or default_thresholds()
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ externally (seeded or loaded); nothing here trains.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from .suppression import SuppressionThresholds, confidence_adjacency, geometric_
 MlpLayers = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 _WEIGHTS_VERSION = 1
+_MLP_FIELDS = ("edge_mlp", "node_mlp")  # stored as lists of {"w", "b"} layers
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -126,22 +127,14 @@ class HeadWeights:
         def tag(a: np.ndarray) -> dict:
             return {"shape": list(a.shape), "data": np.asarray(a, dtype=float).ravel().tolist()}
 
-        def tag_mlp(layers: MlpLayers) -> list:
-            return [{"w": tag(w), "b": tag(b)} for w, b in layers]
-
-        return {
-            "version": _WEIGHTS_VERSION,
-            "level_weights": tag(self.level_weights),
-            "pool_matrix": tag(self.pool_matrix),
-            "roi_matrix": tag(self.roi_matrix),
-            "roi_bias": tag(self.roi_bias),
-            "in_matrix": tag(self.in_matrix),
-            "out_matrix": tag(self.out_matrix),
-            "sample_matrix": tag(self.sample_matrix),
-            "sample_bias": tag(self.sample_bias),
-            "edge_mlp": tag_mlp(self.edge_mlp),
-            "node_mlp": tag_mlp(self.node_mlp),
-        }
+        blob = {"version": _WEIGHTS_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _MLP_FIELDS:
+                blob[f.name] = [{"w": tag(w), "b": tag(b)} for w, b in value]
+            else:
+                blob[f.name] = tag(value)
+        return blob
 
     @classmethod
     def from_json_dict(cls, blob: dict, path: str | None = None) -> "HeadWeights":
@@ -161,18 +154,10 @@ class HeadWeights:
         if blob.get("version") != _WEIGHTS_VERSION:
             raise ParseError(f"unsupported weights version {blob.get('version')!r}", path=path)
         try:
-            return cls(
-                level_weights=untag(blob["level_weights"], "level_weights"),
-                pool_matrix=untag(blob["pool_matrix"], "pool_matrix"),
-                roi_matrix=untag(blob["roi_matrix"], "roi_matrix"),
-                roi_bias=untag(blob["roi_bias"], "roi_bias"),
-                in_matrix=untag(blob["in_matrix"], "in_matrix"),
-                out_matrix=untag(blob["out_matrix"], "out_matrix"),
-                sample_matrix=untag(blob["sample_matrix"], "sample_matrix"),
-                sample_bias=untag(blob["sample_bias"], "sample_bias"),
-                edge_mlp=untag_mlp(blob["edge_mlp"], "edge_mlp"),
-                node_mlp=untag_mlp(blob["node_mlp"], "node_mlp"),
-            )
+            return cls(**{
+                f.name: (untag_mlp if f.name in _MLP_FIELDS else untag)(blob[f.name], f.name)
+                for f in fields(cls)
+            })
         except KeyError as exc:
             raise ParseError(f"missing key {exc}", path=path)
 

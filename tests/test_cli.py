@@ -38,6 +38,20 @@ class TestGenScenes:
         cfg = write_config(tmp_path / "cfg.json", {"scenes": {"lane_count": 50}})
         assert main(["gen-scenes", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_lane_count_checked_against_configured_width(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"scenes": {"count": 1, "width": 1600, "lane_count": 9}})
+        out = tmp_path / "o"
+        assert main(["gen-scenes", "--config", cfg, "--out", str(out)]) == 0
+        blob = json.loads((out / "scene_0000.json").read_text())
+        assert blob["frame"]["w"] == 1600
+        assert len(blob["lanes"]) == 9
+
+    def test_negative_seed_exit_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-scenes", "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
     def test_malformed_config_exit_2(self, tmp_path):
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")
@@ -151,6 +165,88 @@ class TestRunPipelineAndEval:
                      "--out", str(tmp_path / "o")]) == 2
 
 
+class TestConfigSections:
+    # The keys each section accepts: the fields of its dataclass, less the
+    # ones the CLI fills itself, plus the scene count and frame size.
+    KEYS = {
+        "scenes": {"count", "kind", "lane_count", "curvature", "branch_frac",
+                   "fork_separation", "width", "height", "n_rows"},
+        "candidates": {"n_per_gt", "sigma_theta", "sigma_r", "sigma_x", "sigma_score",
+                       "score_noise", "n_background", "background_score_cap", "seed"},
+        "suppression": {"tau_theta", "lambda_g", "tau_d", "tau_o2m", "tau_o2o"},
+        "pipeline": {"mode", "nms_width", "eval_w_base", "oracle_o2o", "head_seed",
+                     "feat_c_f", "feat_d_r", "feat_d_n"},
+        "labels": {"grid", "lambda_l", "top_k"},
+    }
+    # Every run-pipeline key set to its default value (numbers given as
+    # integers where a float is stored, which the reader accepts).
+    EXPLICIT = {
+        "scenes": {"count": 8, "kind": "sparse", "lane_count": 4, "curvature": [-25, 25.0],
+                   "branch_frac": 0.45, "fork_separation": 60, "width": 800, "height": 320,
+                   "n_rows": 36},
+        "candidates": {"n_per_gt": 4, "sigma_theta": 0.02, "sigma_r": 8, "sigma_x": 12.0,
+                       "sigma_score": 25.0, "score_noise": 0.05, "n_background": 6,
+                       "background_score_cap": 0.2, "seed": 7},
+        "suppression": {"tau_theta": 0.15, "lambda_g": 40, "tau_d": 0.5, "tau_o2m": 0.48,
+                        "tau_o2o": 0.46},
+        "pipeline": {"mode": "sequential", "nms_width": 15, "eval_w_base": 15.0,
+                     "oracle_o2o": False, "head_seed": 7, "feat_c_f": 8, "feat_d_r": 16,
+                     "feat_d_n": 5},
+    }
+
+    def test_accepted_keys_per_section(self, tmp_path, monkeypatch):
+        seen = {}
+        section = cli._section
+
+        def spy(cfg, name, allowed):
+            seen[name] = set(allowed)
+            return section(cfg, name, allowed)
+
+        monkeypatch.setattr(cli, "_section", spy)
+        cli._pipeline_run({}, 7)
+        scenes = tmp_path / "scenes"
+        assert main(["gen-scenes", "--out", str(scenes)]) == 0
+        assert main(["labels", "--scenes", str(scenes), "--lambda-l", "40",
+                     "--out", str(tmp_path / "labels")]) == 0
+        assert seen == self.KEYS
+
+    def test_explicit_defaults_equal_implicit(self):
+        assert {name: set(blob) for name, blob in self.EXPLICIT.items()} == {
+            name: keys for name, keys in self.KEYS.items() if name != "labels"
+        }
+        run = cli._pipeline_run(self.EXPLICIT, 7)
+        assert run == cli._pipeline_run({}, 7)
+        assert type(run.thresholds.lambda_g) is float
+        assert type(run.nms_width) is float
+        assert run.scenes[0].curvature == (-25.0, 25.0)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("pipeline", "oracle_o2o", "no"),
+        ("scenes", "lane_count", 2.5),
+        ("candidates", "n_per_gt", 4.5),
+        ("candidates", "seed", 1.5),
+        ("candidates", "seed", -3),
+        ("pipeline", "head_seed", -1),
+        ("pipeline", "feat_c_f", 0),
+        ("suppression", "tau_d", True),
+        ("scenes", "width", 1600.0),
+        ("pipeline", "nms_width", "40"),
+        ("scenes", "curvature", [-25.0]),
+    ])
+    def test_bad_value_exit_2_names_key(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path / "cfg.json", {section: {key: value}})
+        assert main(["run-pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [[4.0, 10], [4], "4x10"])
+    def test_bad_label_grid_exit_2(self, tmp_path, capsys, grid):
+        cfg = write_config(tmp_path / "cfg.json", {"labels": {"grid": grid}})
+        code = main(["labels", "--config", cfg, "--scenes", str(tmp_path), "--lambda-l", "40",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "labels.grid" in capsys.readouterr().err
+
+
 class TestBenchCommand:
     def test_bench_csv(self, tmp_path):
         out = tmp_path / "bench"
@@ -160,3 +256,9 @@ class TestBenchCommand:
         assert "post-processing only" in lines[0]
         assert lines[1] == "mode,k,repetitions,median_seconds"
         assert len(lines) == 2 + 4  # two modes x two k values
+
+    def test_zero_reps_exit_2_without_csv(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--k", "4", "--reps", "0", "--out", str(out)]) == 2
+        assert "repetitions" in capsys.readouterr().err
+        assert not (out / "bench.csv").exists()

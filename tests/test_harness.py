@@ -129,6 +129,10 @@ class TestGenCandidates:
         b = gen_candidates(gts, CandidateGenSpec(seed=3))
         assert a.sha256() == b.sha256()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidSpec, match="seed"):
+            CandidateGenSpec(seed=-3)
+
     def test_oracle_scores_one_per_gt(self):
         gts = gen_scene(dense_spec(8))
         cands = gen_candidates(gts, CandidateGenSpec(seed=5))
@@ -319,6 +323,15 @@ class TestPipeline:
         best_preset_f1 = max(per_scene(runs[15.0], "f1"), per_scene(runs[50.0], "f1"))
         assert per_scene(dual, "f1") >= best_preset_f1
 
+    @pytest.mark.parametrize("bad", [{"head_seed": -1}, {"feat_c_f": 0}, {"feat_d_r": 0},
+                                     {"feat_d_n": 0}])
+    def test_rejects_seeds_and_head_sizes_that_fail_later(self, bad):
+        from polar_kit import ConfigError
+
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            PipelineRun(scenes=(), candidates=CandidateGenSpec(), mode="dual_confidence",
+                        thresholds=default_thresholds(), **bad)
+
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.setenv("POLAR_KIT_THREADS", "1")
         a = run_pipeline(make_run("dense", "sequential", 15.0, n=3))
@@ -338,6 +351,12 @@ class TestBench:
         assert {r.mode for r in rows} == {"fast_geometric", "sequential"}
         assert {r.k for r in rows} == {1, 16}
         assert all(r.median_seconds >= 0 for r in rows)
+
+    def test_zero_repetitions_rejected(self):
+        from polar_kit import ConfigError
+
+        with pytest.raises(ConfigError, match="repetitions"):
+            bench_suppression([4], repetitions=0)
 
     def test_k1_near_zero(self):
         rows = bench_suppression([1], repetitions=2, seed=0)
