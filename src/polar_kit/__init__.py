@@ -49,7 +49,7 @@ from .geometry import (
     sample_anchor_xs_batch,
     top_k_select,
 )
-from .laneiou import GIoUParams, LaneBoundaries, glane_iou, iou_matrix, lane_boundaries
+from .laneiou import iou_matrix
 from .losses import (
     LossComponents,
     LossWeights,

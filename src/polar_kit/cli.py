@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import config as defaults
 from .errors import ConfigError, ParseError, PolarKitError
-from .evaluation import MF1_THRESHOLDS, f1_suite
+from .evaluation import MF1_THRESHOLDS, checked_thresholds, f1_suite
 from .geometry import ImageFrame, LpmConfig, local_pole_lattice, lpm_labels
 from .harness import (
     CandidateGenSpec,
@@ -248,11 +248,7 @@ def _cmd_eval(args) -> int:
     thresholds = MF1_THRESHOLDS
     if args.thresholds:
         with _user_values():
-            thresholds = tuple(float(t) for t in args.thresholds.split(","))
-    if list(thresholds) != sorted(thresholds):
-        raise ConfigError("--thresholds must be sorted ascending")
-    if not args.w_base > 0:
-        raise ConfigError("--w-base must be positive")
+            thresholds = checked_thresholds(args.thresholds.split(","))
     report = f1_suite(
         [lanes for lanes, _ in preds],
         [lanes for lanes, _ in gts],

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .config import DEFAULT_W_BASE
 from .errors import ShapeError
 from .geometry import LaneGrid
-from .laneiou import GIoUParams, iou_matrix
+from .laneiou import check_width, iou_matrix
 
 MF1_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
@@ -131,9 +132,10 @@ def match_lanes(
     Maximizes matched-pair count first and total IoU second.  Returns
     (tp pairs as (pred, gt), fp prediction indices, fn ground-truth indices).
     """
-    if not preds or not gts:
+    iou = iou_matrix(preds, gts, w_base)  # checks w_base even when a side is empty
+    if iou.size == 0:
         return [], list(range(len(preds))), list(range(len(gts)))
-    return _match(iou_matrix(preds, gts, GIoUParams(g=0.0, w_base=w_base)), iou_threshold)
+    return _match(iou, iou_threshold)
 
 
 def _match(iou: np.ndarray, iou_threshold: float):
@@ -152,11 +154,22 @@ def _match(iou: np.ndarray, iou_threshold: float):
     return pairs, fp, fn
 
 
+def checked_thresholds(thresholds) -> tuple[float, ...]:
+    """IoU thresholds as floats; ValueError unless each lies in (0, 1] and they ascend."""
+    thresholds = tuple(float(t) for t in thresholds)
+    for t in thresholds:
+        if not 0.0 < t <= 1.0:  # false for NaN too
+            raise ValueError(f"IoU thresholds must be numbers in (0, 1], got {t}")
+    if any(t2 < t1 for t1, t2 in zip(thresholds, thresholds[1:])):
+        raise ValueError("thresholds must be sorted ascending")
+    return thresholds
+
+
 def f1_suite(
     preds_per_scene: list[list[LaneGrid]],
     gts_per_scene: list[list[LaneGrid]],
     thresholds=MF1_THRESHOLDS,
-    w_base: float = 15.0,
+    w_base: float = DEFAULT_W_BASE,
 ) -> MetricsReport:
     """Pooled F1 per threshold over all scenes, plus mF1.
 
@@ -166,20 +179,18 @@ def f1_suite(
     """
     if len(preds_per_scene) != len(gts_per_scene):
         raise ShapeError("need one prediction list per ground-truth list")
-    thresholds = tuple(float(t) for t in thresholds)
-    if any(t2 < t1 for t1, t2 in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be sorted ascending")
+    thresholds = checked_thresholds(thresholds)
+    check_width(w_base)
 
     all_t = sorted(set(thresholds) | set(MF1_THRESHOLDS))
     counts = {t: [0, 0, 0] for t in all_t}
-    params = GIoUParams(g=0.0, w_base=w_base)
     for preds, gts in zip(preds_per_scene, gts_per_scene):
         if not preds or not gts:
             for t in all_t:
                 counts[t][1] += len(preds)
                 counts[t][2] += len(gts)
             continue
-        iou = iou_matrix(preds, gts, params)  # (G, K)
+        iou = iou_matrix(preds, gts, w_base)  # (G, K)
         for t in all_t:
             pairs, fp, fn = _match(iou, t)
             counts[t][0] += len(pairs)

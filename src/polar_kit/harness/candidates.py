@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import default_global_pole
+from ..config import DEFAULT_W_BASE, default_global_pole
 from ..errors import InvalidSpec
 from ..geometry import ImageFrame, LaneGrid, Pole, sample_anchor_xs_batch
 from ..laneiou import pairwise_iou
@@ -121,23 +121,17 @@ def gen_candidates(
     )
 
 
-def candidate_gt_iou(cands: CandidateSet, gts: list[LaneGrid], w_base: float = 15.0) -> np.ndarray:
-    """(G, K) IoU matrix between ground truths and candidate lanes (g = 0)."""
-    if not gts or len(cands) == 0:
-        return np.zeros((len(gts), len(cands)))
-    gt_xs = np.stack([g.xs for g in gts])
-    gt_valid = np.array([g.valid for g in gts])
-    return pairwise_iou(cands.lane_xs, cands.valid, gt_xs, gt_valid, cands.frame.rows_y, w_base)
-
-
-def oracle_o2o_scores(cands: CandidateSet, gts: list[LaneGrid], w_base: float = 15.0) -> np.ndarray:
+def oracle_o2o_scores(
+    cands: CandidateSet, gts: list[LaneGrid], w_base: float = DEFAULT_W_BASE
+) -> np.ndarray:
     """Idealized one-to-one scores: 1.0 on each ground truth's best candidate.
 
     "Best" is the highest IoU (ties to the lower candidate index); everything
     else scores 0.  Stands in for a converged one-to-one head.
     """
+    gt_xs = np.array([g.xs for g in gts], dtype=float).reshape(len(gts), cands.frame.n_rows)
+    gt_valid = np.array([g.valid for g in gts], dtype=int).reshape(len(gts), 2)
+    iou = pairwise_iou(cands.lane_xs, cands.valid, gt_xs, gt_valid, cands.frame.rows_y, w_base)
     scores = np.zeros(len(cands))
-    iou = candidate_gt_iou(cands, gts, w_base)
-    for q in range(iou.shape[0]):
-        scores[int(np.argmax(iou[q]))] = 1.0
+    scores[np.argmax(iou, axis=1)] = 1.0  # (G, K): one best candidate per ground truth
     return scores

@@ -11,6 +11,7 @@ scene order, and only the timing fields vary between repeated runs.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..config import default_global_pole
+from .. import config as defaults
 from ..errors import ConfigError
 from ..evaluation import MF1_THRESHOLDS, MetricsReport, f1_suite
 from ..geometry import ImageFrame, LaneGrid
@@ -45,8 +46,8 @@ class PipelineRun:
     candidates: CandidateGenSpec
     mode: str
     thresholds: SuppressionThresholds
-    nms_width: float = 15.0        # w_base override driving the distance function
-    eval_w_base: float = 15.0
+    nms_width: float = defaults.NMS_WIDTH_OPTIMAL_PX  # w_base of the NMS distance function
+    eval_w_base: float = defaults.DEFAULT_W_BASE
     eval_thresholds: tuple = MF1_THRESHOLDS
     oracle_o2o: bool = False       # idealized one-to-one scorer instead of the head
     head_seed: int = 0
@@ -57,8 +58,10 @@ class PipelineRun:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.nms_width <= 0 or self.eval_w_base <= 0:
-            raise ConfigError("nms_width and eval_w_base must be positive")
+        for name in ("nms_width", "eval_w_base"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be a finite number > 0, got {value}")
         if self.head_seed < 0:
             raise ConfigError("head_seed must be >= 0")
         if min(self.feat_c_f, self.feat_d_r, self.feat_d_n) < 1:
@@ -141,7 +144,7 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         gts = gen_scene(spec)
         cand_spec = replace(run.candidates, seed=child_seed(run.candidates.seed, idx))
         cands = gen_candidates(
-            gts, cand_spec, frame=spec.frame, pole=default_global_pole(spec.frame)
+            gts, cand_spec, frame=spec.frame, pole=defaults.default_global_pole(spec.frame)
         )
         selected = select_candidates(cands, run, gts, weights, idx)
         preds = [cands.lane(int(i)) for i in selected]
@@ -198,7 +201,7 @@ class BenchRow:
 
 
 def _random_candidate_set(k: int, frame: ImageFrame, rng: np.random.Generator) -> CandidateSet:
-    pole = default_global_pole(frame)
+    pole = defaults.default_global_pole(frame)
     thetas = rng.uniform(-0.3, 0.3, size=k)
     radii = rng.uniform(-0.45, 0.45, size=k) * frame.width
     t = (frame.height - frame.rows_y) / frame.height
@@ -223,7 +226,7 @@ def bench_suppression(
     seed: int = 0,
     frame: ImageFrame | None = None,
     thresholds: SuppressionThresholds | None = None,
-    nms_width: float = 15.0,
+    nms_width: float = defaults.NMS_WIDTH_OPTIMAL_PX,
     modes: tuple[str, ...] = ("fast_geometric", "sequential"),
 ) -> list[BenchRow]:
     """Median wall time of each suppression mode at each candidate count.
@@ -231,12 +234,10 @@ def bench_suppression(
     Only the suppression call (including its distance-matrix build) is timed;
     candidate generation happens outside the clock.
     """
-    from ..config import default_frame, default_thresholds
-
     if repetitions < 1:
         raise ConfigError("bench repetitions must be >= 1")
-    frame = frame or default_frame()
-    thresholds = thresholds or default_thresholds()
+    frame = frame or defaults.default_frame()
+    thresholds = thresholds or defaults.default_thresholds()
     rng = np.random.default_rng(seed)
     rows = []
     for k in k_values:

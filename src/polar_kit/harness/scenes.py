@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import DEFAULT_W_BASE
 from ..errors import InvalidSpec
 from ..geometry import ImageFrame, LaneGrid
-from ..laneiou import GIoUParams, iou_matrix
+from ..laneiou import iou_matrix
 from .fileio import quantize
 
 _EDGE_MARGIN = 70.0
@@ -107,7 +108,7 @@ def gen_scene(spec: SceneSpec) -> list[LaneGrid]:
 
 def _assert_invariants(spec: SceneSpec, lanes: list[LaneGrid]) -> None:
     if spec.kind == "sparse" and len(lanes) > 1:
-        iou = iou_matrix(lanes, lanes, GIoUParams(g=0.0, w_base=15.0))
+        iou = iou_matrix(lanes, lanes, DEFAULT_W_BASE)
         off = iou[~np.eye(len(lanes), dtype=bool)]
         if np.any(off >= _SPARSE_IOU_CAP):
             raise InvalidSpec(

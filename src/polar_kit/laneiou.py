@@ -6,47 +6,22 @@ score sums per-row overlap, gap, and union lengths over the union of the two
 valid ranges; rows where only one lane exists contribute that lane's full
 width to the union and nothing to overlap or gap.
 
-``pairwise_iou`` is the one kernel: it turns two stacks of lane rows into the
-IoU matrix (sum(overlap) - g * sum(gap)) / sum(union).  ``iou_matrix`` and
-``glane_iou`` wrap it for ``LaneGrid`` inputs; suppression distances,
-candidate-to-ground-truth scores and the F1 matcher all go through it.
+``pairwise_iou`` is the one kernel: it checks the base semi-width and gap
+coefficient, then turns two stacks of lane rows into the IoU matrix
+(sum(overlap) - g * sum(gap)) / sum(union).  ``iou_matrix`` adapts it to
+``LaneGrid`` lists.  Suppression distances, oracle one-to-one scores, the GIoU
+loss and the F1 matcher all go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidLane, ShapeError
+from .errors import InvalidInput, InvalidLane, ShapeError
 from .geometry import LaneGrid
 
 # Element cap per broadcast block when assembling big pairwise matrices.
 _CHUNK_ELEMS = 4_000_000
-
-
-@dataclass(frozen=True)
-class GIoUParams:
-    """Gap coefficient g (0 = plain IoU, 1 = gap-penalized) and base semi-width."""
-
-    g: float = 0.0
-    w_base: float = 15.0
-
-    def __post_init__(self):
-        if self.w_base <= 0:
-            raise ValueError("w_base must be positive")
-        if self.g < 0:
-            raise ValueError("g must be non-negative")
-
-
-@dataclass(frozen=True, eq=False)
-class LaneBoundaries:
-    """Left/right interval edges and semi-widths per row; NaN outside valid."""
-
-    left: np.ndarray
-    right: np.ndarray
-    semi_widths: np.ndarray
-    valid: tuple[int, int]
 
 
 def stack_boundaries(xs: np.ndarray, valid: np.ndarray, rows_y: np.ndarray, w_base: float):
@@ -103,21 +78,13 @@ def stack_boundaries(xs: np.ndarray, valid: np.ndarray, rows_y: np.ndarray, w_ba
     return x - w, x + w, mask
 
 
-def lane_boundaries(lane: LaneGrid, w_base: float) -> LaneBoundaries:
-    """Per-row interval boundaries for one lane (NaN outside its valid range)."""
-    if lane.n_valid < 2:
-        raise InvalidLane("lane needs at least 2 valid rows for slope estimates")
-    left, right, mask = stack_boundaries(
-        lane.xs[None, :], np.array([lane.valid]), lane.frame.rows_y, w_base
-    )
-    left = np.where(mask[0], left[0], np.nan)
-    right = np.where(mask[0], right[0], np.nan)
-    return LaneBoundaries(
-        left=left,
-        right=right,
-        semi_widths=(right - left) / 2.0,
-        valid=lane.valid,
-    )
+def check_width(w_base: float, g: float = 0.0) -> None:
+    """Raise InvalidInput unless w_base is finite and > 0 and g is finite and >= 0."""
+    # Written so that NaN fails too.
+    if not 0.0 < w_base < np.inf:
+        raise InvalidInput(f"w_base must be a finite number > 0, got {w_base}")
+    if not 0.0 <= g < np.inf:
+        raise InvalidInput(f"g must be a finite number >= 0, got {g}")
 
 
 def pairwise_iou(xs_a, valid_a, xs_b, valid_b, rows_y, w_base: float, g: float = 0.0) -> np.ndarray:
@@ -126,7 +93,9 @@ def pairwise_iou(xs_a, valid_a, xs_b, valid_b, rows_y, w_base: float, g: float =
     Entry (q, p) is (sum(overlap) - g * sum(gap)) / sum(union) for lanes a_p
     and b_q; the gap sums are formed only when g != 0.  Work is chunked over
     b so the (chunk, Ka, N) broadcast temporaries stay near _CHUNK_ELEMS.
+    With g = 0 every entry lies in [0, 1]; disjoint y-ranges give 0.
     """
+    check_width(w_base, g)
     la, ra, ma = stack_boundaries(xs_a, valid_a, rows_y, w_base)
     lb, rb, mb = stack_boundaries(xs_b, valid_b, rows_y, w_base)
     Ka, N = la.shape
@@ -155,24 +124,18 @@ def pairwise_iou(xs_a, valid_a, xs_b, valid_b, rows_y, w_base: float, g: float =
     return iou
 
 
-def glane_iou(p: LaneGrid, q: LaneGrid, params: GIoUParams) -> float:
-    """IoU between two lanes: sum(overlap)/sum(union) - g * sum(gap)/sum(union).
-
-    With g = 0 the value lies in [0, 1]; disjoint y-ranges give 0.
-    """
-    return float(iou_matrix([p], [q], params)[0, 0])
-
-
-def iou_matrix(set_a: list[LaneGrid], set_b: list[LaneGrid], params: GIoUParams) -> np.ndarray:
-    """(len(set_b), len(set_a)) matrix with entry (q, p) = glane_iou(a_p, b_q)."""
+def iou_matrix(
+    set_a: list[LaneGrid], set_b: list[LaneGrid], w_base: float, g: float = 0.0
+) -> np.ndarray:
+    """(len(set_b), len(set_a)) matrix with entry (q, p) = IoU(a_p, b_q); see ``pairwise_iou``."""
     if not set_a or not set_b:
+        check_width(w_base, g)
         return np.zeros((len(set_b), len(set_a)))
     frame = set_a[0].frame
-    for lane in (*set_a, *set_b):
-        if lane.frame != frame:
-            raise ShapeError("all lanes must share one frame")
+    if any(lane.frame != frame for lane in (*set_a, *set_b)):
+        raise ShapeError("all lanes must share one frame")
     xs_a = np.stack([lane.xs for lane in set_a])
     xs_b = np.stack([lane.xs for lane in set_b])
     va = np.array([lane.valid for lane in set_a])
     vb = np.array([lane.valid for lane in set_b])
-    return pairwise_iou(xs_a, va, xs_b, vb, frame.rows_y, params.w_base, params.g)
+    return pairwise_iou(xs_a, va, xs_b, vb, frame.rows_y, w_base, g)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ShapeError, TooFewRows
 from .geometry import LaneGrid, Pole, PolarAnchor, PoleGridLabels
-from .laneiou import GIoUParams, glane_iou
+from .laneiou import iou_matrix
 
 _PROB_EPS = 1e-7
 
@@ -149,7 +149,7 @@ def rank_loss(pos_scores, neg_scores, margin: float = 0.1) -> float:
 
 def giou_loss(pred: LaneGrid, gt: LaneGrid, w_base: float) -> float:
     """1 - gap-penalized IoU (g = 1); 0 for identical lanes, up to 2 exclusive."""
-    return 1.0 - glane_iou(pred, gt, GIoUParams(g=1.0, w_base=w_base))
+    return float(1.0 - iou_matrix([pred], [gt], w_base, g=1.0)[0, 0])
 
 
 def endpoint_loss(pred_ends, gt_ends, height: float) -> float:

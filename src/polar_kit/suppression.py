@@ -38,7 +38,8 @@ class SuppressionThresholds:
     tau_o2o: float = 0.46
 
     def __post_init__(self):
-        if min(self.tau_theta, self.lambda_g, self.tau_d) <= 0:
+        # Written so that NaN fails too; an infinite gate means no gate.
+        if not all(v > 0 for v in (self.tau_theta, self.lambda_g, self.tau_d)):
             raise ValueError("tau_theta, lambda_g, and tau_d must be positive")
         for name in ("tau_o2m", "tau_o2o"):
             v = getattr(self, name)

@@ -87,18 +87,17 @@ def _random_lane(rng):
 def test_c02_glaneiou_oracle():
     """Interval IoU matches the brute-force row oracle; symmetric; bounded."""
     rng = np.random.default_rng(202)
-    params = pk.GIoUParams(g=0.0, w_base=15.0)
     worst = 0.0
     for _ in range(1000):
         p, q = _random_lane(rng), _random_lane(rng)
-        got = pk.glane_iou(p, q, params)
+        got = pk.iou_matrix([p], [q], 15.0)[0, 0]
         want = interval_iou_oracle(p, q, 15.0, g=0.0)
         worst = max(worst, abs(got - want))
         assert abs(got - want) < 1e-6
-        assert abs(got - pk.glane_iou(q, p, params)) < 1e-12
+        assert abs(got - pk.iou_matrix([q], [p], 15.0)[0, 0]) < 1e-12
         assert 0.0 <= got <= 1.0
     lane = _random_lane(rng)
-    assert pk.glane_iou(lane, lane, params) == 1.0
+    assert pk.iou_matrix([lane], [lane], 15.0)[0, 0] == 1.0
     report("C2", f"1000 pairs, worst |diff| {worst:.2e}, identical-lane IoU == 1.0")
 
 

@@ -151,6 +151,20 @@ class TestRunPipelineAndEval:
         with pytest.raises(TypeError, match="internal failure"):
             main(["run-pipeline", "--config", cfg, "--out", str(tmp_path / "o")])
 
+    @pytest.mark.parametrize("flag, value, named", [
+        *[("--thresholds", f"0.5,{v}", str(float(v))) for v in ("nan", "inf", "-1", "0", "1.5")],
+        *[("--w-base", v, "w_base") for v in ("nan", "inf", "0", "-15")],
+    ])
+    def test_eval_bad_threshold_or_width_exit_2(self, tmp_path, capsys, flag, value, named):
+        cfg = write_config(tmp_path / "cfg.json", {"scenes": {"count": 1}})
+        scenes = tmp_path / "scenes"
+        main(["gen-scenes", "--config", cfg, "--out", str(scenes)])
+        capsys.readouterr()
+        assert main(["eval", "--preds", str(scenes), "--gts", str(scenes), flag, value,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_preds_dir_exit_3(self, tmp_path):
         assert main(["eval", "--preds", str(tmp_path / "nope"), "--gts", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 3

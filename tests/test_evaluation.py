@@ -43,7 +43,7 @@ class TestMatchLanes:
             assert len(pairs) + len(fn) == len(gts)
 
     def test_matches_brute_force_lexicographic(self, frame):
-        from polar_kit import GIoUParams, iou_matrix
+        from polar_kit import iou_matrix
 
         rng = np.random.default_rng(1)
         for _ in range(40):
@@ -51,7 +51,7 @@ class TestMatchLanes:
             gts = lanes_at(frame, rng.uniform(100, 700, size=rng.integers(1, 5)))
             threshold = 0.3
             pairs, _, _ = match_lanes(preds, gts, threshold, w_base=40.0)
-            iou = iou_matrix(preds, gts, GIoUParams(g=0.0, w_base=40.0))
+            iou = iou_matrix(preds, gts, 40.0)
             best_count, best_total = brute_force_matching(iou, threshold)
             total = sum(iou[q, p] for p, q in pairs)
             assert len(pairs) == best_count
@@ -105,6 +105,11 @@ class TestF1Suite:
     def test_unsorted_thresholds_rejected(self, frame):
         with pytest.raises(ValueError):
             f1_suite([[]], [[]], thresholds=(0.75, 0.5))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 0.0, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            f1_suite([[]], [[]], thresholds=(0.5, bad))
 
 
 _FRAME = ImageFrame(width=800, height=320, n_rows=36)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from polar_kit import GIoUParams, InvalidSpec, ParseError, VersionError, iou_matrix
+from polar_kit import InvalidSpec, ParseError, VersionError, iou_matrix
 from polar_kit.config import default_frame, default_thresholds
 from polar_kit.harness import (
     CandidateGenSpec,
@@ -42,7 +42,7 @@ class TestGenScene:
     def test_sparse_pairwise_iou_below_cap(self):
         for seed in range(10):
             lanes = gen_scene(sparse_spec(seed))
-            iou = iou_matrix(lanes, lanes, GIoUParams(g=0.0, w_base=15.0))
+            iou = iou_matrix(lanes, lanes, 15.0)
             off = iou[~np.eye(len(lanes), dtype=bool)]
             assert np.all(off < 0.1)
 
@@ -331,6 +331,15 @@ class TestPipeline:
         with pytest.raises(ConfigError, match=next(iter(bad))):
             PipelineRun(scenes=(), candidates=CandidateGenSpec(), mode="dual_confidence",
                         thresholds=default_thresholds(), **bad)
+
+    @pytest.mark.parametrize("field", ["nms_width", "eval_w_base"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_rejects_non_finite_widths(self, field, value):
+        from polar_kit import ConfigError
+
+        with pytest.raises(ConfigError, match=field):
+            PipelineRun(scenes=(), candidates=CandidateGenSpec(), mode="sequential",
+                        thresholds=default_thresholds(), **{field: value})
 
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.setenv("POLAR_KIT_THREADS", "1")

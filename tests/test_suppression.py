@@ -230,6 +230,16 @@ class TestThresholdValidation:
         with pytest.raises(ValueError):
             SuppressionThresholds(0.1, 1.0, 0.5, tau_o2m=1.5)
 
+    @pytest.mark.parametrize("field", ["tau_theta", "lambda_g", "tau_d"])
+    def test_rejects_nan(self, field):
+        values = {"tau_theta": 0.1, "lambda_g": 1.0, "tau_d": 0.5, field: float("nan")}
+        with pytest.raises(ValueError):
+            SuppressionThresholds(**values)
+
+    def test_infinite_gates_allowed(self):
+        t = SuppressionThresholds(tau_theta=float("inf"), lambda_g=float("inf"), tau_d=0.5)
+        assert t.tau_theta == t.lambda_g == float("inf")
+
 
 def set_arrays(frame):
     """Keyword arguments of a valid three-candidate set, as fresh writable arrays."""
