@@ -14,7 +14,6 @@ Exit codes: 0 success; 1 internal error (uncaught, with a traceback);
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from contextlib import contextmanager
@@ -22,6 +21,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import config as defaults
+from . import jsonio
 from .errors import ConfigError, ParseError, PolarKitError
 from .evaluation import MF1_THRESHOLDS, checked_thresholds, f1_suite
 from .geometry import ImageFrame, LpmConfig, local_pole_lattice, lpm_labels
@@ -57,16 +57,7 @@ def _user_values():
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read config: {exc}", path=path)
-    try:
-        blob = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: config is not valid JSON ({exc.msg} at line {exc.lineno})")
-    if not isinstance(blob, dict):
-        raise ConfigError(f"{path}: config top level must be an object")
+    blob = jsonio.load(path, lambda message: ConfigError(f"{path}: config {message}"))
     unknown = blob.keys() - set(_CONFIG_SECTIONS)
     if unknown:
         raise ConfigError(f"{path}: unknown config section(s) {sorted(unknown)}")
@@ -87,31 +78,10 @@ def _fields(cls, *omit: str) -> set[str]:
     return {f.name for f in fields(cls)} - set(omit)
 
 
-_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
-
-
-def _typed(key: str, value, like):
-    """``value`` if it has the JSON type of ``like``, else ConfigError naming ``key``.
-
-    A float key takes any finite number and stores it as a float; true and
-    false are never numbers; a tuple key takes a list of the same length,
-    checked element by element.
-    """
-    kind = type(like)
-    if kind is tuple:
-        if type(value) is list and len(value) == len(like):
-            return tuple(_typed(f"{key}[{i}]", v, d) for i, (v, d) in enumerate(zip(value, like)))
-        raise ConfigError(f"{key} must be a list of {len(like)} values, got {json.dumps(value)}")
-    if kind is float and type(value) in (int, float):
-        if abs(value) <= sys.float_info.max:  # false for NaN, inf and ints past float range
-            return float(value)
-    elif type(value) is kind:
-        return value
-    raise ConfigError(f"{key} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
-
-
 def _get(name: str, blob: dict, key: str, default):
-    return _typed(f"{name}.{key}", blob[key], default) if key in blob else default
+    if key not in blob:
+        return default
+    return jsonio.typed(f"{name}.{key}", blob[key], default, ConfigError)
 
 
 def _apply(name: str, blob: dict, base, **fixed):
@@ -121,7 +91,7 @@ def _apply(name: str, blob: dict, base, **fixed):
     its message mentions.
     """
     values = {
-        f.name: _typed(f"{name}.{f.name}", blob[f.name], getattr(base, f.name))
+        f.name: jsonio.typed(f"{name}.{f.name}", blob[f.name], getattr(base, f.name), ConfigError)
         for f in fields(base) if f.name in blob
     }
     try:
@@ -191,7 +161,7 @@ def _cmd_labels(args) -> int:
     with _user_values():
         lpm = LpmConfig(
             grid_rows=grid[0], grid_cols=grid[1],
-            lambda_l=_typed("labels.lambda_l", blob["lambda_l"], 0.0),
+            lambda_l=jsonio.typed("labels.lambda_l", blob["lambda_l"], 0.0, ConfigError),
             top_k=_get("labels", blob, "top_k", min(defaults.SPARSE_TOP_K, grid[0] * grid[1])),
         )
     scenes = read_scene_dir(args.scenes)

@@ -46,17 +46,11 @@ class ConfigError(PolarKitError):
 
 
 class ParseError(PolarKitError):
-    """Malformed data file (CLI exit code 3). Carries path and field context."""
+    """Malformed data file (CLI exit code 3). Carries the path; the message names the field."""
 
-    def __init__(self, message: str, path: str | None = None, field: str | None = None):
+    def __init__(self, message: str, path: str | None = None):
         self.path = path
-        self.field = field
-        prefix = ""
-        if path is not None:
-            prefix += f"{path}: "
-        if field is not None:
-            prefix += f"field {field!r}: "
-        super().__init__(prefix + message)
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 class VersionError(ParseError):

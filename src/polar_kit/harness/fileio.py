@@ -2,18 +2,22 @@
 
 All floats cross the file boundary quantized to 9 significant digits;
 generators quantize at creation so write -> read is an exact identity.
-Unknown top-level fields are rejected, and every reader raises ParseError
-(with path/field context) or VersionError rather than guessing.
+Each reader describes its file as one example record (above the reader) and
+checks it with ``jsonio.typed``: a missing or unknown field or a value of the
+wrong JSON type raises ParseError naming the path and the field path, and a
+version other than the integer 1 raises VersionError.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ParseError, PolarKitError, VersionError
+from .. import jsonio
+from ..errors import InvalidLane, ParseError, PolarKitError, VersionError
 from ..evaluation import MetricsReport, ThresholdMetrics
 from ..geometry import ImageFrame, LaneGrid, Pole, PoleGridLabels, polyline_to_grid
 from ..suppression import CandidateSet
@@ -34,55 +38,34 @@ def _dump(obj: dict, path) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _load(path) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=str(path))
-    try:
-        blob = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}",
-            path=str(path),
-        )
-    if not isinstance(blob, dict):
-        raise ParseError("top level must be a JSON object", path=str(path))
+def _read(path, like: dict) -> dict:
+    """The file at ``path`` checked against the example record ``like``."""
+    error = partial(ParseError, path=str(path))
+    blob = jsonio.typed("", jsonio.load(path, error), like, error)
+    if blob["version"] != FORMAT_VERSION:
+        raise VersionError(f"unsupported version {blob['version']}, expected {FORMAT_VERSION}",
+                           path=str(path))
     return blob
 
 
-def _check_keys(blob: dict, required: set[str], path: str, where: str = "top level") -> None:
-    missing = required - blob.keys()
-    if missing:
-        raise ParseError(f"missing {where} field(s) {sorted(missing)}", path=path)
-    unknown = blob.keys() - required
-    if unknown:
-        raise ParseError(f"unknown {where} field(s) {sorted(unknown)}", path=path)
-
-
-def _check_version(blob: dict, path: str) -> None:
-    if blob.get("version") != FORMAT_VERSION:
-        raise VersionError(
-            f"unsupported version {blob.get('version')!r}, expected {FORMAT_VERSION}",
-            path=path,
-        )
+_FRAME = {"w": 0, "h": 0, "n_rows": 0}
 
 
 def _frame_to_dict(frame: ImageFrame) -> dict:
     return {"w": frame.width, "h": frame.height, "n_rows": frame.n_rows}
 
 
-def _frame_from_dict(blob, path: str) -> ImageFrame:
-    if not isinstance(blob, dict):
-        raise ParseError("frame must be an object", path=path, field="frame")
-    _check_keys(blob, {"w", "h", "n_rows"}, path, where="frame")
+def _frame_from_dict(blob: dict, path: str) -> ImageFrame:
     try:
-        return ImageFrame(width=int(blob["w"]), height=int(blob["h"]), n_rows=int(blob["n_rows"]))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad frame: {exc}", path=path, field="frame")
+        return ImageFrame(width=blob["w"], height=blob["h"], n_rows=blob["n_rows"])
+    except ValueError as exc:
+        raise ParseError(f"frame: {exc}", path=path)
 
 
 # ---------------------------------------------------------------- scenes
+
+_SCENE = {"version": 0, "frame": _FRAME, "lanes": [{"points": [(0.0, 0.0)]}], "meta": {}}
+
 
 def scene_to_dict(
     lanes: list[LaneGrid], meta: dict | None = None, frame: ImageFrame | None = None
@@ -111,24 +94,14 @@ def write_scene(
 
 
 def read_scene(path) -> tuple[list[LaneGrid], dict]:
-    blob = _load(path)
-    spath = str(path)
-    _check_keys(blob, {"version", "frame", "lanes", "meta"}, spath)
-    _check_version(blob, spath)
-    frame = _frame_from_dict(blob["frame"], spath)
-    if not isinstance(blob["lanes"], list):
-        raise ParseError("lanes must be a list", path=spath, field="lanes")
+    blob = _read(path, _SCENE)
+    frame = _frame_from_dict(blob["frame"], str(path))
     lanes = []
     for i, entry in enumerate(blob["lanes"]):
-        if not isinstance(entry, dict):
-            raise ParseError("lane entry must be an object", path=spath, field=f"lanes[{i}]")
-        _check_keys(entry, {"points"}, spath, where=f"lanes[{i}]")
         try:
             lanes.append(polyline_to_grid(entry["points"], frame))
-        except Exception as exc:
-            raise ParseError(f"bad lane: {exc}", path=spath, field=f"lanes[{i}]")
-    if not isinstance(blob["meta"], dict):
-        raise ParseError("meta must be an object", path=spath, field="meta")
+        except InvalidLane as exc:
+            raise ParseError(f"lanes[{i}]: {exc}", path=str(path))
     return lanes, blob["meta"]
 
 
@@ -140,6 +113,15 @@ def read_scene_dir(in_dir) -> list[tuple[list[LaneGrid], dict]]:
 
 
 # ------------------------------------------------------------ candidates
+
+_CANDIDATE = {
+    "theta": 0.0, "radius": 0.0, "anchor_xs": [0.0], "valid": (0, 0), "score_o2m": 0.0,
+    "score_o2o": jsonio.NUMBER_OR_NULL,
+    "lane_xs": [jsonio.ANY_NUMBER],  # free off the valid rows; CandidateSet checks those
+}
+_CANDIDATES = {"version": 0, "frame": _FRAME, "pole": {"x": 0.0, "y": 0.0},
+               "candidates": [_CANDIDATE], "meta": {}}
+
 
 def candidates_to_dict(cands: CandidateSet, meta: dict | None = None) -> dict:
     if cands.pole is None:
@@ -171,62 +153,43 @@ def write_candidates(path, cands: CandidateSet, meta: dict | None = None) -> Non
 
 
 def read_candidates(path) -> tuple[CandidateSet, dict]:
-    blob = _load(path)
-    spath = str(path)
-    _check_keys(blob, {"version", "frame", "pole", "candidates", "meta"}, spath)
-    _check_version(blob, spath)
+    blob, spath = _read(path, _CANDIDATES), str(path)
     frame = _frame_from_dict(blob["frame"], spath)
-    pole_blob = blob["pole"]
-    if not isinstance(pole_blob, dict):
-        raise ParseError("pole must be an object", path=spath, field="pole")
-    _check_keys(pole_blob, {"x", "y"}, spath, where="pole")
-    try:
-        pole = Pole(x=float(pole_blob["x"]), y=float(pole_blob["y"]), kind="global")
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad pole: {exc}", path=spath, field="pole")
+    entries = blob["candidates"]
+    n = len(entries)
 
-    keys = {"theta", "radius", "anchor_xs", "lane_xs", "valid", "score_o2m", "score_o2o"}
-    thetas, radii, axs, lxs, valid, s_o2m, s_o2o = [], [], [], [], [], [], []
-    any_o2o = False
-    for i, e in enumerate(blob["candidates"]):
-        if not isinstance(e, dict):
-            raise ParseError("candidate must be an object", path=spath, field=f"candidates[{i}]")
-        _check_keys(e, keys, spath, where=f"candidates[{i}]")
-        try:
-            thetas.append(float(e["theta"]))
-            radii.append(float(e["radius"]))
-            axs.append([float(v) for v in e["anchor_xs"]])
-            lxs.append([float(v) for v in e["lane_xs"]])
-            valid.append([int(e["valid"][0]), int(e["valid"][1])])
-            s_o2m.append(float(e["score_o2m"]))
-            if e["score_o2o"] is None:
-                s_o2o.append(np.nan)
-            else:
-                any_o2o = True
-                s_o2o.append(float(e["score_o2o"]))
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ParseError(f"bad candidate: {exc}", path=spath, field=f"candidates[{i}]")
-    n = len(thetas)
-    if any_o2o and np.any(np.isnan(s_o2o)):
+    def column(key, dtype=float):
+        return np.array([e[key] for e in entries], dtype=dtype)
+
+    for i, e in enumerate(entries):
+        for key in ("anchor_xs", "lane_xs"):
+            if len(e[key]) != frame.n_rows:
+                raise ParseError(f"candidates[{i}].{key} must hold {frame.n_rows} values", spath)
+    unset_o2o = sum(e["score_o2o"] is None for e in entries)
+    if 0 < unset_o2o < n:
         raise ParseError("score_o2o must be set for all candidates or none", path=spath)
     try:
         cands = CandidateSet(
             frame=frame,
-            thetas=np.array(thetas),
-            radii=np.array(radii),
-            anchor_xs=np.array(axs).reshape(n, frame.n_rows),
-            lane_xs=np.array(lxs).reshape(n, frame.n_rows),
-            valid=np.array(valid, dtype=int).reshape(n, 2),
-            scores_o2m=np.array(s_o2m),
-            scores_o2o=np.array(s_o2o) if any_o2o else None,
-            pole=pole,
+            thetas=column("theta"),
+            radii=column("radius"),
+            anchor_xs=column("anchor_xs").reshape(n, frame.n_rows),
+            lane_xs=column("lane_xs").reshape(n, frame.n_rows),
+            valid=column("valid", int).reshape(n, 2),
+            scores_o2m=column("score_o2m"),
+            scores_o2o=column("score_o2o") if unset_o2o < n else None,
+            pole=Pole(x=blob["pole"]["x"], y=blob["pole"]["y"], kind="global"),
         )
-    except (ValueError, PolarKitError) as exc:
+    except PolarKitError as exc:
         raise ParseError(f"bad candidates: {exc}", path=spath)
     return cands, blob["meta"]
 
 
 # ------------------------------------------------------------ selections
+
+_SELECTIONS = {"version": 0, "mode": "", "meta": {},
+               "scenes": [{"scene_id": 0, "selected": [0], "candidates_sha256": ""}]}
+
 
 def selections_to_dict(mode: str, outcomes, meta: dict | None = None) -> dict:
     return {
@@ -249,16 +212,14 @@ def write_selections(path, mode: str, outcomes, meta: dict | None = None) -> Non
 
 
 def read_selections(path) -> dict:
-    blob = _load(path)
-    spath = str(path)
-    _check_keys(blob, {"version", "mode", "scenes", "meta"}, spath)
-    _check_version(blob, spath)
-    for i, e in enumerate(blob["scenes"]):
-        _check_keys(e, {"scene_id", "selected", "candidates_sha256"}, spath, where=f"scenes[{i}]")
-    return blob
+    return _read(path, _SELECTIONS)
 
 
 # --------------------------------------------------------------- metrics
+
+_METRICS = {"version": 0, "mf1": 0.0, "rows": [{
+    "threshold": 0.0, "tp": 0, "fp": 0, "fn": 0, "precision": 0.0, "recall": 0.0, "f1": 0.0}]}
+
 
 def write_metrics_json(path, report: MetricsReport) -> None:
     blob = report.to_json_dict()
@@ -270,26 +231,9 @@ def write_metrics_json(path, report: MetricsReport) -> None:
 
 
 def read_metrics_json(path) -> MetricsReport:
-    blob = _load(path)
-    spath = str(path)
-    _check_keys(blob, {"version", "rows", "mf1"}, spath)
-    _check_version(blob, spath)
-    rows = []
-    for i, e in enumerate(blob["rows"]):
-        _check_keys(
-            e, {"threshold", "tp", "fp", "fn", "precision", "recall", "f1"},
-            spath, where=f"rows[{i}]",
-        )
-        try:
-            rows.append(
-                ThresholdMetrics(
-                    threshold=float(e["threshold"]), tp=int(e["tp"]),
-                    fp=int(e["fp"]), fn=int(e["fn"]),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad metrics row: {exc}", path=spath, field=f"rows[{i}]")
-    return MetricsReport(rows=tuple(rows), mf1=float(blob["mf1"]))
+    blob = _read(path, _METRICS)
+    rows = tuple(ThresholdMetrics(e["threshold"], e["tp"], e["fp"], e["fn"]) for e in blob["rows"])
+    return MetricsReport(rows=rows, mf1=blob["mf1"])
 
 
 def write_metrics_csv(path, report: MetricsReport) -> None:

@@ -224,27 +224,25 @@ def bench_suppression(
     k_values,
     repetitions: int = 3,
     seed: int = 0,
-    frame: ImageFrame | None = None,
-    thresholds: SuppressionThresholds | None = None,
-    nms_width: float = defaults.NMS_WIDTH_OPTIMAL_PX,
     modes: tuple[str, ...] = ("fast_geometric", "sequential"),
 ) -> list[BenchRow]:
     """Median wall time of each suppression mode at each candidate count.
 
-    Only the suppression call (including its distance-matrix build) is timed;
+    Runs on the default frame and thresholds at the optimal NMS width.  Only
+    the suppression call (including its distance-matrix build) is timed;
     candidate generation happens outside the clock.
     """
     if repetitions < 1:
         raise ConfigError("bench repetitions must be >= 1")
-    frame = frame or defaults.default_frame()
-    thresholds = thresholds or defaults.default_thresholds()
+    frame = defaults.default_frame()
+    thresholds = defaults.default_thresholds()
     rng = np.random.default_rng(seed)
     rows = []
     for k in k_values:
         if k < 1:
             raise ConfigError("bench candidate counts must be >= 1")
         cands = _random_candidate_set(int(k), frame, rng)
-        distance = iou_distance(nms_width)
+        distance = iou_distance(defaults.NMS_WIDTH_OPTIMAL_PX)
         for mode in modes:
             if mode not in ("fast_geometric", "sequential"):
                 raise ConfigError(f"unknown bench mode {mode!r}")

@@ -11,12 +11,15 @@ externally (seeded or loaded); nothing here trains.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ShapeError
+from . import jsonio
+from .errors import ParseError, ShapeError, VersionError
 from .suppression import SuppressionThresholds, confidence_adjacency, geometric_adjacency
 
 MlpLayers = tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -55,15 +58,15 @@ class HeadWeights:
 
     def __post_init__(self):
         lw = self.level_weights
-        if lw.ndim != 2 or lw.shape[0] != 3:
-            raise ShapeError("level_weights must have shape (3, N)")
+        if lw.ndim != 2 or lw.shape[0] != 3 or lw.shape[1] < 1:
+            raise ShapeError("level_weights must have shape (3, N) with N >= 1")
         n = lw.shape[1]
-        d_r = self.pool_matrix.shape[0]
         if self.pool_matrix.ndim != 2 or self.pool_matrix.shape[1] % n != 0:
             raise ShapeError("pool_matrix must have shape (d_r, N * C_f)")
+        d_r = self.pool_matrix.shape[0]
         if self.roi_matrix.shape != (d_r, d_r) or self.roi_bias.shape != (d_r,):
             raise ShapeError("roi transform must map d_r -> d_r")
-        d_n = self.in_matrix.shape[0]
+        d_n = self.in_matrix.shape[0] if self.in_matrix.ndim == 2 else -1
         if self.in_matrix.shape != (d_n, d_r) or self.out_matrix.shape != (d_n, d_r):
             raise ShapeError("in/out matrices must have shape (d_n, d_r)")
         if self.sample_matrix.shape != (d_n, n) or self.sample_bias.shape != (d_n,):
@@ -137,29 +140,31 @@ class HeadWeights:
         return blob
 
     @classmethod
-    def from_json_dict(cls, blob: dict, path: str | None = None) -> "HeadWeights":
+    def from_json_dict(cls, blob, path: str | None = None) -> "HeadWeights":
+        """Weights from ``to_json_dict``'s layout; any other input raises ParseError."""
+        tag = {"shape": [0], "data": [0.0]}
+        like = {f.name: [{"w": tag, "b": tag}] if f.name in _MLP_FIELDS else tag
+                for f in fields(cls)}
+        blob = jsonio.typed("", blob, {"version": 0, **like}, partial(ParseError, path=path))
+        if blob["version"] != _WEIGHTS_VERSION:
+            raise VersionError(f"unsupported weights version {blob['version']}", path=path)
+
         def untag(entry, field: str) -> np.ndarray:
-            try:
-                shape = tuple(int(s) for s in entry["shape"])
-                return np.array(entry["data"], dtype=float).reshape(shape)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad shape-tagged array: {exc}", path=path, field=field)
+            shape, data = entry["shape"], entry["data"]
+            if min(shape, default=0) < 0 or math.prod(shape) != len(data):
+                raise ParseError(f"{field}: {len(data)} values do not fill shape {shape}", path)
+            return np.array(data, dtype=float).reshape(shape)
 
         def untag_mlp(entries, field: str) -> MlpLayers:
-            return tuple(
-                (untag(e["w"], f"{field}[{i}].w"), untag(e["b"], f"{field}[{i}].b"))
-                for i, e in enumerate(entries)
-            )
+            return tuple((untag(e["w"], f"{field}[{i}].w"), untag(e["b"], f"{field}[{i}].b"))
+                         for i, e in enumerate(entries))
 
-        if blob.get("version") != _WEIGHTS_VERSION:
-            raise ParseError(f"unsupported weights version {blob.get('version')!r}", path=path)
+        arrays = {f.name: (untag_mlp if f.name in _MLP_FIELDS else untag)(blob[f.name], f.name)
+                  for f in fields(cls)}
         try:
-            return cls(**{
-                f.name: (untag_mlp if f.name in _MLP_FIELDS else untag)(blob[f.name], f.name)
-                for f in fields(cls)
-            })
-        except KeyError as exc:
-            raise ParseError(f"missing key {exc}", path=path)
+            return cls(**arrays)
+        except ShapeError as exc:
+            raise ParseError(str(exc), path=path)
 
 
 def save_weights(weights: HeadWeights, path) -> None:
@@ -167,10 +172,7 @@ def save_weights(weights: HeadWeights, path) -> None:
 
 
 def load_weights(path) -> HeadWeights:
-    try:
-        blob = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", path=str(path))
+    blob = jsonio.load(path, partial(ParseError, path=str(path)))
     return HeadWeights.from_json_dict(blob, path=str(path))
 
 

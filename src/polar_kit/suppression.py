@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInput, MissingO2OScores, ShapeError
 from .geometry import ImageFrame, LaneGrid, Pole
-from .laneiou import pairwise_iou
+from .laneiou import check_width, pairwise_iou
 
 DistanceFn = Callable[["CandidateSet"], np.ndarray]
 
@@ -97,8 +97,8 @@ class CandidateSet:
             raise ShapeError(f"per-candidate xs arrays must have shape ({k}, {n})")
         if self.valid.shape != (k, 2):
             raise ShapeError(f"valid must have shape ({k}, 2)")
-        if not (np.all(np.isfinite(self.thetas)) and np.all(np.isfinite(self.radii))):
-            raise InvalidInput("thetas and radii must be finite")
+        if not all(np.all(np.isfinite(a)) for a in (self.thetas, self.radii, self.anchor_xs)):
+            raise InvalidInput("thetas, radii and anchor_xs must be finite")
         lo, hi = self.valid[:, 0], self.valid[:, 1]
         if np.any(lo < 0) or np.any(hi >= n) or np.any(hi - lo < 1):
             raise InvalidInput(f"valid ranges must lie in [0, {n}) and span at least 2 rows")
@@ -159,8 +159,11 @@ def iou_distance(w_base: float) -> DistanceFn:
     """Distance d = 1 - IoU(g=0) between regressed lanes, at semi-width w_base.
 
     Passing the classic pixel presets (50 / 15) as w_base reproduces the
-    conservative and aggressive suppression regimes with one knob.
+    conservative and aggressive suppression regimes with one knob.  A bad
+    ``w_base`` raises InvalidInput here, even for frames that never reach
+    the distance.
     """
+    check_width(w_base)
 
     def matrix(cands: "CandidateSet") -> np.ndarray:
         return 1.0 - pairwise_iou(

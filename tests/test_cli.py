@@ -86,6 +86,26 @@ class TestLabels:
                      "--out", str(tmp_path / "o")]) == 3
 
 
+class TestMalformedSceneFile:
+    @pytest.mark.parametrize("command", ["eval", "labels"])
+    def test_string_width_exit_3(self, tmp_path, capsys, command):
+        scenes = tmp_path / "scenes"
+        cfg = write_config(tmp_path / "cfg.json", {"scenes": {"count": 1}})
+        main(["gen-scenes", "--config", cfg, "--out", str(scenes)])
+        path = scenes / "scene_0000.json"
+        blob = json.loads(path.read_text())
+        blob["frame"]["w"] = "800"
+        path.write_text(json.dumps(blob))
+        args = {
+            "eval": ["eval", "--preds", str(scenes), "--gts", str(scenes)],
+            "labels": ["labels", "--scenes", str(scenes), "--lambda-l", "40"],
+        }[command]
+        capsys.readouterr()
+        assert main([*args, "--out", str(tmp_path / "o")]) == 3
+        assert "frame.w must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestRunPipelineAndEval:
     CONFIG = {
         "scenes": {"count": 4, "kind": "dense", "lane_count": 4},

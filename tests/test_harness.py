@@ -1,7 +1,12 @@
+import copy
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polar_kit import InvalidSpec, ParseError, VersionError, iou_matrix
 from polar_kit.config import default_frame, default_thresholds
@@ -181,6 +186,14 @@ class TestFileRoundTrips:
         cands3, _ = read_candidates(path)
         assert np.array_equal(cands3.scores_o2o, scored.scores_o2o)
 
+    def test_empty_candidates_round_trip(self, tmp_path):
+        empty = gen_candidates([], CandidateGenSpec(n_background=0), frame=FRAME)
+        path = tmp_path / "cands.json"
+        write_candidates(path, empty)
+        cands, _ = read_candidates(path)
+        assert len(cands) == 0 and cands.scores_o2o is None
+        assert cands.sha256() == empty.sha256()
+
     def test_selections_round_trip(self, tmp_path):
         outcomes = [
             SceneOutcome(scene_id=0, selected=(1, 4), candidates_sha256="ab" * 32),
@@ -249,6 +262,158 @@ class TestFileRoundTrips:
         lanes = gen_scene(sparse_spec(0))
         with pytest.raises(ValueError):
             write_scene(tmp_path / "s.json", lanes, frame=ImageFrame(640, 320, 36))
+
+
+def mutated(blob, path, value):
+    """Copy of ``blob`` with the entry at ``path`` (keys and list indices) set to ``value``."""
+    blob = copy.deepcopy(blob)
+    *parents, last = path
+    node = blob
+    for step in parents:
+        node = node[step]
+    node[last] = value
+    return blob
+
+
+def scene_file(path):
+    write_scene(path, gen_scene(sparse_spec(0)), {"scene_id": 0})
+
+
+def candidates_file(path):
+    write_candidates(path, gen_candidates(gen_scene(sparse_spec(1)), CandidateGenSpec(seed=2)))
+
+
+def selections_file(path):
+    outcome = SceneOutcome(scene_id=0, selected=(1, 4), candidates_sha256="ab" * 32)
+    write_selections(path, "sequential", [outcome], {"seed": 0})
+
+
+def metrics_file(path):
+    from polar_kit import f1_suite
+
+    lanes = gen_scene(sparse_spec(3))
+    write_metrics_json(path, f1_suite([lanes], [lanes], w_base=15.0))
+
+
+# Each case loaded (with a truncated or coerced value) or raised a non-ParseError before
+# the readers shared one type checker.  Values: (entry path, bad value, field named).
+MALFORMED = {
+    "scene": (scene_file, read_scene, {
+        "w-string": (("frame", "w"), "800", "frame.w"),
+        "w-float": (("frame", "w"), 800.9, "frame.w"),
+        "version-true": (("version",), True, "version"),
+        "version-float": (("version",), 1.0, "version"),
+        "x-string": (("lanes", 0, "points", 0, 0), "100", "lanes[0].points[0][0]"),
+        "y-string": (("lanes", 0, "points", 1, 1), "200", "lanes[0].points[1][1]"),
+    }),
+    "candidates": (candidates_file, read_candidates, {
+        "valid-floats": (("candidates", 3, "valid"), [0.9, 35.9], "candidates[3].valid[0]"),
+        "valid-three": (("candidates", 0, "valid"), [0, 20, 35], "candidates[0].valid"),
+        "score-bool": (("candidates", 0, "score_o2m"), True, "candidates[0].score_o2m"),
+        "theta-string": (("candidates", 0, "theta"), "0.1", "candidates[0].theta"),
+        "pole-x-bool": (("pole", "x"), True, "pole.x"),
+        "meta-list": (("meta",), [], "meta"),
+        "candidates-int": (("candidates",), 5, "candidates"),
+        "anchor-xs-short": (("candidates", 2, "anchor_xs"), [0.0] * 35, "candidates[2].anchor_xs"),
+    }),
+    "selections": (selections_file, read_selections, {
+        "selected-string": (("scenes", 0, "selected"), ["a"], "scenes[0].selected[0]"),
+        "mode-int": (("mode",), 7, "mode"),
+        "scenes-int": (("scenes",), 5, "scenes"),
+        "scene-int": (("scenes", 0), 5, "scenes[0]"),
+    }),
+    "metrics": (metrics_file, read_metrics_json, {
+        "tp-float": (("rows", 0, "tp"), 3.7, "rows[0].tp"),
+        "rows-int": (("rows",), 5, "rows"),
+        "row-list": (("rows", 0), [], "rows[0]"),
+        "mf1-string": (("mf1",), "x", "mf1"),
+    }),
+}
+
+
+def malformed_cases(kind):
+    write, read, cases = MALFORMED[kind]
+    return pytest.mark.parametrize(
+        "write, read, entry, value, named",
+        [(write, read, *case) for case in cases.values()], ids=list(cases),
+    )
+
+
+class TestMalformedFiles:
+    """Every reader rejects a wrong JSON type with a ParseError naming the field."""
+
+    @staticmethod
+    def check(tmp_path, write, read, entry, value, named):
+        path = tmp_path / "file.json"
+        write(path)
+        path.write_text(json.dumps(mutated(json.loads(path.read_text()), entry, value)))
+        with pytest.raises(ParseError, match=re.escape(named)) as exc:
+            read(path)
+        assert type(exc.value) is ParseError and str(path) in str(exc.value)
+
+    @malformed_cases("scene")
+    def test_scene(self, tmp_path, write, read, entry, value, named):
+        self.check(tmp_path, write, read, entry, value, named)
+
+    @malformed_cases("candidates")
+    def test_candidates(self, tmp_path, write, read, entry, value, named):
+        self.check(tmp_path, write, read, entry, value, named)
+
+    @malformed_cases("selections")
+    def test_selections(self, tmp_path, write, read, entry, value, named):
+        self.check(tmp_path, write, read, entry, value, named)
+
+    @malformed_cases("metrics")
+    def test_metrics(self, tmp_path, write, read, entry, value, named):
+        self.check(tmp_path, write, read, entry, value, named)
+
+
+_SPECS = st.builds(
+    SceneSpec,
+    frame=st.just(FRAME),
+    kind=st.sampled_from(["dense", "sparse"]),
+    lane_count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestRoundTripProperties:
+    """read(write(x)) == x, and writing what was read gives the same bytes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=_SPECS)
+    def test_scene_files(self, tmp_path_factory, spec):
+        lanes = gen_scene(spec)
+        path = tmp_path_factory.mktemp("scene") / "s.json"
+        write_scene(path, lanes, {"seed": spec.seed, "kind": spec.kind})
+        lanes2, meta = read_scene(path)
+        assert lanes2 == lanes
+        write_scene(path.with_name("again.json"), lanes2, meta)
+        assert path.with_name("again.json").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=_SPECS, cand_seed=st.integers(0, 2**32 - 1),
+           o2o=st.booleans(), nan_outside=st.booleans())
+    def test_candidate_files(self, tmp_path_factory, spec, cand_seed, o2o, nan_outside):
+        gts = gen_scene(spec)
+        cands = gen_candidates(gts, CandidateGenSpec(seed=cand_seed))
+        if o2o:
+            cands = cands.with_o2o(oracle_o2o_scores(cands, gts))
+        if nan_outside:  # lane samples off the valid rows are free, NaN included
+            rows = np.arange(FRAME.n_rows)
+            inside = (rows >= cands.valid[:, :1]) & (rows <= cands.valid[:, 1:])
+            cands = replace(cands, lane_xs=np.where(inside, cands.lane_xs, np.nan))
+        path = tmp_path_factory.mktemp("cands") / "c.json"
+        write_candidates(path, cands, {"seed": cand_seed})
+        cands2, meta = read_candidates(path)
+        assert meta == {"seed": cand_seed}
+        assert cands2.frame == cands.frame and cands2.pole == cands.pole
+        for name in ("thetas", "radii", "anchor_xs", "lane_xs", "valid", "scores_o2m",
+                     "scores_o2o"):
+            a, b = getattr(cands, name), getattr(cands2, name)
+            assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True), name
+        write_candidates(path.with_name("again.json"), cands2, meta)
+        assert path.with_name("again.json").read_bytes() == path.read_bytes()
 
 
 def make_run(kind, mode, width, n=6, oracle=False, cand_seed=21):

@@ -14,8 +14,16 @@ from polar_kit import (
     iou_distance,
     iou_matrix,
     match_lanes,
+    sequential_nms,
 )
-from polar_kit.harness import oracle_o2o_scores
+from polar_kit.config import default_frame
+from polar_kit.harness import (
+    CandidateGenSpec,
+    SceneSpec,
+    gen_candidates,
+    gen_scene,
+    oracle_o2o_scores,
+)
 from polar_kit.laneiou import stack_boundaries
 from oracles import interval_iou_oracle
 
@@ -228,6 +236,14 @@ class TestWidthCheck:
         lanes = [vertical_lane(100.0), vertical_lane(110.0)]
         with pytest.raises(InvalidInput, match="w_base"):
             self._calls(lanes)[call](w_base)
+
+    @pytest.mark.parametrize("w_base", [0.0, -15.0, math.nan])
+    def test_iou_distance_checks_width_when_built(self, w_base):
+        # tau_o2m = 1.0 leaves no candidate, so sequential NMS never calls the distance.
+        gts = gen_scene(SceneSpec(frame=default_frame(), kind="dense", lane_count=4, seed=0))
+        cands = gen_candidates(gts, CandidateGenSpec(seed=0))
+        with pytest.raises(InvalidInput, match="w_base"):
+            sequential_nms(cands, iou_distance(w_base), 0.5, 1.0)
 
     @pytest.mark.parametrize("g", [-1.0, math.nan, math.inf])
     def test_bad_gap_coefficient_rejected(self, vertical_lane, g):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -285,6 +288,31 @@ class TestWeightsIO:
         path.write_text('{"version": 1, "level_')
         with pytest.raises(ParseError):
             load_weights(path)
+
+    # Each case loaded or raised a non-ParseError before the weights reader was typed.
+    @pytest.mark.parametrize("key, value, named", [
+        ("level_weights", {"shape": [3, N], "data": ["0.1"] * (3 * N)}, "level_weights.data[0]"),
+        ("roi_bias", {"shape": [float(D_R)], "data": [0.0] * D_R}, "roi_bias.shape[0]"),
+        ("version", 1.0, "version"),
+        ("extra", 1, "extra"),
+        ("edge_mlp", 5, "edge_mlp"),
+    ], ids=["data-strings", "shape-float", "version-float", "unknown-key", "edge-mlp-int"])
+    def test_malformed_file_names_field(self, tmp_path, weights, key, value, named):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({**weights.to_json_dict(), key: value}))
+        with pytest.raises(ParseError, match=re.escape(named)):
+            load_weights(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("roi_bias", {"shape": [D_R + 1], "data": [0.0] * D_R}),
+        ("roi_bias", {"shape": [-1], "data": [0.0] * D_R}),
+        ("roi_bias", {"shape": [D_R + 1], "data": [0.0] * (D_R + 1)}),
+        ("pool_matrix", {"shape": [], "data": [0.0]}),
+        ("level_weights", {"shape": [3, 0], "data": []}),
+    ], ids=["too-few-values", "negative-dim", "inconsistent-shapes", "scalar", "zero-rows"])
+    def test_bad_shapes_are_parse_errors(self, weights, key, value):
+        with pytest.raises(ParseError, match="weights.json"):
+            HeadWeights.from_json_dict({**weights.to_json_dict(), key: value}, "weights.json")
 
     def test_seeded_reproducible(self):
         a = HeadWeights.seeded(N, C_F, D_R, D_N, seed=7)

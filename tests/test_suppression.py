@@ -285,6 +285,7 @@ class TestCandidateSetValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("thetas", np.inf), ("radii", np.nan), ("scores_o2m", 1.5),
+        ("anchor_xs", np.inf), ("anchor_xs", np.nan),
     ])
     def test_rejects_bad_anchor_params_and_scores(self, frame, field, value):
         arrays = set_arrays(frame)
