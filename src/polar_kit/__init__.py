@@ -71,7 +71,6 @@ from .o2o_head import (
     edge_tensor,
     head_forward,
     load_weights,
-    masked_max_pool,
     node_scores,
     roi_project,
     save_weights,
@@ -84,6 +83,7 @@ from .suppression import (
     fast_nms_geometric,
     geometric_adjacency,
     iou_distance,
+    max_over_in_edges,
     sequential_nms,
 )
 

@@ -31,6 +31,9 @@ DEFAULT_TAU_D = 0.5       # on d = 1 - IoU, i.e. suppress at IoU >= 0.5
 DEFAULT_TAU_THETA = 0.15  # radians
 DEFAULT_LAMBDA_G = 40.0   # pixels
 
+# Selection modes of a pipeline run, as named in its selections file.
+MODES = ("sequential", "fast_geometric", "dual_confidence")
+
 # Global pole placement as a fraction of (width, height), image coordinates.
 GLOBAL_POLE_FRAC = (0.5, 0.4)
 

@@ -5,7 +5,9 @@ generators quantize at creation so write -> read is an exact identity.
 Each reader describes its file as one example record (above the reader) and
 checks it with ``jsonio.typed``: a missing or unknown field or a value of the
 wrong JSON type raises ParseError naming the path and the field path, and a
-version other than the integer 1 raises VersionError.
+version other than the integer 1 raises VersionError.  Selection and metrics
+files are range-checked too: a known mode, indices and counts >= 0, and at
+least one metrics row.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import jsonio
+from ..config import MODES
 from ..errors import InvalidLane, ParseError, PolarKitError, VersionError
 from ..evaluation import MetricsReport, ThresholdMetrics
 from ..geometry import ImageFrame, LaneGrid, Pole, PoleGridLabels, polyline_to_grid
@@ -211,8 +214,20 @@ def write_selections(path, mode: str, outcomes, meta: dict | None = None) -> Non
     _dump(selections_to_dict(mode, outcomes, meta), path)
 
 
+def _non_negative(path, field: str, value: int) -> None:
+    if value < 0:
+        raise ParseError(f"{field} must be >= 0, got {value}", path=str(path))
+
+
 def read_selections(path) -> dict:
-    return _read(path, _SELECTIONS)
+    blob = _read(path, _SELECTIONS)
+    if blob["mode"] not in MODES:
+        raise ParseError(f"mode must be one of {list(MODES)}, got {blob['mode']!r}", str(path))
+    for i, scene in enumerate(blob["scenes"]):
+        _non_negative(path, f"scenes[{i}].scene_id", scene["scene_id"])
+        for j, index in enumerate(scene["selected"]):
+            _non_negative(path, f"scenes[{i}].selected[{j}]", index)
+    return blob
 
 
 # --------------------------------------------------------------- metrics
@@ -232,6 +247,11 @@ def write_metrics_json(path, report: MetricsReport) -> None:
 
 def read_metrics_json(path) -> MetricsReport:
     blob = _read(path, _METRICS)
+    if not blob["rows"]:
+        raise ParseError("rows must hold at least one threshold", path=str(path))
+    for i, row in enumerate(blob["rows"]):
+        for key in ("tp", "fp", "fn"):
+            _non_negative(path, f"rows[{i}].{key}", row[key])
     rows = tuple(ThresholdMetrics(e["threshold"], e["tp"], e["fp"], e["fn"]) for e in blob["rows"])
     return MetricsReport(rows=rows, mf1=blob["mf1"])
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .. import config as defaults
+from ..config import MODES
 from ..errors import ConfigError
 from ..evaluation import MF1_THRESHOLDS, MetricsReport, f1_suite
 from ..geometry import ImageFrame, LaneGrid
@@ -34,8 +35,6 @@ from ..suppression import (
 )
 from .candidates import CandidateGenSpec, gen_candidates, oracle_o2o_scores
 from .scenes import SceneSpec, child_seed, gen_scene
-
-MODES = ("sequential", "fast_geometric", "dual_confidence")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Deterministic forward pass of the one-to-one scoring head.
 
-The head refines per-candidate RoI features through a directed graph whose
-edges come from the same confidence/geometric adjacency used by suppression:
-an edge tensor encodes pairwise semantic distance, a masked column-wise max
-pool keeps each candidate's strongest potential suppressor, and a small MLP
-with a terminal sigmoid emits the one-to-one score.  Weights are supplied
-externally (seeded or loaded); nothing here trains.
+The head refines per-candidate RoI features over the gated pair list that
+fast NMS uses (A = A_C * A_G, grouped by target): each pair gets a
+semantic-distance edge vector, ``max_over_in_edges`` keeps each candidate's
+strongest potential suppressor component-wise, as fast NMS pools 1/d, and a
+small MLP with a terminal sigmoid emits the one-to-one score.  Weights are
+supplied externally (seeded or loaded); nothing here trains.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 
 from . import jsonio
 from .errors import ParseError, ShapeError, VersionError
-from .suppression import SuppressionThresholds, confidence_adjacency, geometric_adjacency
+from .suppression import (SuppressionThresholds, confidence_adjacency, geometric_adjacency,
+                          max_over_in_edges)
 
 MlpLayers = tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -33,7 +34,9 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    # exp(-x) overflows to inf below x ~ -709, giving the exact limit 0.0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,12 +214,12 @@ def _mlp(x: np.ndarray, layers: MlpLayers, sigmoid_out: bool) -> np.ndarray:
     return _sigmoid(x) if sigmoid_out else x
 
 
-def edge_tensor(rois, anchor_xs, weights: HeadWeights) -> np.ndarray:
-    """(K, K, d_n) semantic-distance tensor; entry (i, j) reads "i vs j".
+def edge_tensor(rois, anchor_xs, weights: HeadWeights, src, dst) -> np.ndarray:
+    """(P, d_n) semantic distances of the P pairs; row p reads "src[p] vs dst[p]".
 
     D_edge[i, j] = MLP_edge(W_in F_j - W_out F_i + W_s (x_j - x_i) + b_s)
-    with F the ReLU-transformed RoI features.  Entry (i, j) depends only on
-    candidates i and j.
+    with F the ReLU-transformed RoI features.  Row p depends only on
+    candidates src[p] and dst[p].
     """
     rois = np.asarray(rois, dtype=float)
     xs = np.asarray(anchor_xs, dtype=float)
@@ -229,31 +232,12 @@ def edge_tensor(rois, anchor_xs, weights: HeadWeights) -> np.ndarray:
     f_in = f_hat @ weights.in_matrix.T
     f_out = f_hat @ weights.out_matrix.T
     sx = xs @ weights.sample_matrix.T
-    pre = (
-        f_in[None, :, :]
-        - f_out[:, None, :]
-        + sx[None, :, :]
-        - sx[:, None, :]
-        + weights.sample_bias
-    )
+    pre = f_in[dst] - f_out[src] + sx[dst] - sx[src] + weights.sample_bias
     return _mlp(pre, weights.edge_mlp, sigmoid_out=False)
 
 
-def masked_max_pool(edge, adjacency) -> np.ndarray:
-    """Element-wise max over each column's in-edges; empty columns pool zeros."""
-    e = np.asarray(edge, dtype=float)
-    a = np.asarray(adjacency, dtype=bool)
-    if e.ndim != 3 or a.shape != e.shape[:2] or e.shape[0] != e.shape[1]:
-        raise ShapeError("edge must be (K, K, d_n) with adjacency (K, K)")
-    masked = np.where(a[:, :, None], e, -np.inf)
-    pooled = masked.max(axis=0)
-    has_edge = a.any(axis=0)
-    pooled[~has_edge] = 0.0
-    return pooled
-
-
 def node_scores(pooled, node_mlp: MlpLayers) -> np.ndarray:
-    """(K,) scores in (0, 1) from the 3-layer node MLP with sigmoid output."""
+    """(K,) scores in [0, 1] from the 3-layer node MLP with sigmoid output."""
     p = np.asarray(pooled, dtype=float)
     if p.ndim != 2 or p.shape[1] != node_mlp[0][0].shape[1]:
         raise ShapeError("pooled features do not match the node MLP input size")
@@ -269,7 +253,7 @@ def head_forward(
     thresholds: SuppressionThresholds,
     weights: HeadWeights,
 ) -> np.ndarray:
-    """Full head pass: features -> RoI -> adjacency -> edges -> pool -> scores.
+    """Full head pass: features -> RoI -> gated pairs -> edges -> pool -> scores.
 
     Args:
         level_feats: (K, 3, N, C_f) per-candidate, per-level point features.
@@ -288,10 +272,10 @@ def head_forward(
             f"level_feats must have shape (K, 3, {weights.n_rows}, {weights.c_f})"
         )
     scores_o2m = np.asarray(scores_o2m, dtype=float)
-    if scores_o2m.shape != (k,):
-        raise ShapeError("scores_o2m must have shape (K,)")
+    if not scores_o2m.shape == np.shape(thetas) == np.shape(radii) == (k,):
+        raise ShapeError("scores_o2m, thetas and radii must have shape (K,)")
     rois = roi_project(aggregate_levels(feats, weights.level_weights), weights.pool_matrix)
     adjacency = confidence_adjacency(scores_o2m) & geometric_adjacency(thetas, radii, thresholds)
-    edges = edge_tensor(rois, anchor_xs, weights)
-    pooled = masked_max_pool(edges, adjacency)
-    return node_scores(pooled, weights.node_mlp)
+    dst, src = np.nonzero(adjacency.T)
+    edges = edge_tensor(rois, anchor_xs, weights, src, dst)
+    return node_scores(max_over_in_edges(edges, dst, k), weights.node_mlp)

@@ -7,9 +7,12 @@ Three interchangeable selectors operate on a ``CandidateSet``:
   confidence adjacency A_C, masked by the geometric adjacency A_G;
 * ``dual_confidence_select`` - NMS-free thresholding on both score heads.
 
-Suppression in the matrix path follows the inverse-distance form: candidate j
-survives iff max over its in-neighbors i (A_ij = 1) of 1/d(lane_i, lane_j)
-stays below 1/tau_d; an empty in-neighborhood survives.
+Fast NMS and the one-to-one head share one pooling rule: A = A_C * A_G as a
+pair list grouped by target (``dst, src = np.nonzero(A.T)``), and one value
+row per pair max-pooled over each target's in-neighbors by
+``max_over_in_edges``.  Fast NMS pools 1/d(lane_i, lane_j): candidate j
+survives iff that max stays below 1/tau_d; an empty in-neighborhood pools 0
+and survives.
 """
 
 from __future__ import annotations
@@ -119,9 +122,6 @@ class CandidateSet:
     def lane(self, i: int) -> LaneGrid:
         return LaneGrid(xs=self.lane_xs[i], valid=tuple(self.valid[i]), frame=self.frame)
 
-    def lanes(self) -> list[LaneGrid]:
-        return [self.lane(i) for i in range(len(self))]
-
     def with_o2o(self, scores) -> "CandidateSet":
         return replace(self, scores_o2o=np.asarray(scores, dtype=float))
 
@@ -155,6 +155,20 @@ def geometric_adjacency(thetas, radii, thresholds: SuppressionThresholds) -> np.
     )
 
 
+def max_over_in_edges(values, dst, k: int) -> np.ndarray:
+    """(k, ...) element-wise max of ``values`` rows over each target's in-edges.
+
+    Row p of ``values`` belongs to the edge into ``dst[p]``; ``dst`` must be
+    grouped by target, as ``np.nonzero(adjacency.T)`` returns it.  A target
+    with no in-edge pools zeros.
+    """
+    values = np.asarray(values, dtype=float)
+    targets, starts = np.unique(dst, return_index=True)
+    pooled = np.zeros((k, *values.shape[1:]))
+    pooled[targets] = np.maximum.reduceat(values, starts, axis=0)
+    return pooled
+
+
 def iou_distance(w_base: float) -> DistanceFn:
     """Distance d = 1 - IoU(g=0) between regressed lanes, at semi-width w_base.
 
@@ -178,7 +192,7 @@ def fast_nms_geometric(
 ) -> np.ndarray:
     """Sort-free suppression gated by the geometric prior.
 
-    A = A_C * A_G; candidate j survives the matrix test iff every in-neighbor
+    A = A_C * A_G; candidate j survives the pooled test iff every in-neighbor
     sits further than tau_d away (empty in-neighborhood survives).  The final
     set intersects survivors with {s_o2m > tau_o2m}.  Single pass, no
     rescue: a suppressed candidate still suppresses others.
@@ -192,10 +206,11 @@ def fast_nms_geometric(
     dist = np.asarray(distance(cands), dtype=float)
     if dist.shape != (k, k):
         raise ShapeError(f"distance matrix must have shape ({k}, {k})")
+    dst, src = np.nonzero(adjacency.T)
+    d = dist[src, dst]
     with np.errstate(divide="ignore"):
-        inverse = np.where(dist > 0, 1.0 / dist, np.inf)
-    pooled = np.where(adjacency, inverse, 0.0).max(axis=0)
-    survive = pooled < 1.0 / thresholds.tau_d
+        inverse = np.where(d > 0, 1.0 / d, np.inf)
+    survive = max_over_in_edges(inverse, dst, k) < 1.0 / thresholds.tau_d
     return np.flatnonzero(survive & (cands.scores_o2m > thresholds.tau_o2m))
 
 

@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 These stay deliberately naive (row loops, permutation search, explicit
-geometry) and never call the code paths they check.
+geometry, dense K x K pooling) and never call the code paths they check.
+The dense references reuse only the building blocks outside the path under
+test (adjacencies, RoI projection, MLPs).
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ import itertools
 import math
 
 import numpy as np
+
+from polar_kit.o2o_head import _mlp, _relu, aggregate_levels, node_scores, roi_project
+from polar_kit.suppression import confidence_adjacency, geometric_adjacency
 
 
 def boundaries_oracle(lane, w_base):
@@ -94,6 +99,34 @@ def reference_fast_nms(scores, dist, tau_d, tau_o2m):
         if not suppressed and scores[j] > tau_o2m:
             keep.append(j)
     return np.array(sorted(keep), dtype=int)
+
+
+def dense_fast_nms(scores, adjacency, dist, tau_d, tau_o2m):
+    """Fast NMS pooled over dense (K, K) arrays: a non-edge reads 0, an edge 1/d."""
+    with np.errstate(divide="ignore"):
+        inverse = np.where(dist > 0, 1.0 / dist, np.inf)
+    pooled = np.where(adjacency, inverse, 0.0).max(axis=0, initial=0.0)
+    return np.flatnonzero((pooled < 1.0 / tau_d) & (np.asarray(scores) > tau_o2m))
+
+
+def dense_head_forward(level_feats, scores_o2m, thetas, radii, anchor_xs, thresholds, weights):
+    """The head over a dense (K, K, d_n) edge tensor, max-pooled under a -inf mask.
+
+    Entry (i, j) of the tensor reads "i vs j"; columns without an in-edge pool zeros.
+    """
+    feats = np.asarray(level_feats, dtype=float)
+    rois = roi_project(aggregate_levels(feats, weights.level_weights), weights.pool_matrix)
+    f_hat = _relu(rois @ weights.roi_matrix.T + weights.roi_bias)
+    f_in = f_hat @ weights.in_matrix.T
+    f_out = f_hat @ weights.out_matrix.T
+    sx = np.asarray(anchor_xs, dtype=float) @ weights.sample_matrix.T
+    pre = f_in[None, :, :] - f_out[:, None, :] + sx[None, :, :] - sx[:, None, :] \
+        + weights.sample_bias
+    edge = _mlp(pre, weights.edge_mlp, sigmoid_out=False)
+    a = confidence_adjacency(scores_o2m) & geometric_adjacency(thetas, radii, thresholds)
+    pooled = np.where(a[:, :, None], edge, -np.inf).max(axis=0, initial=-np.inf)
+    pooled[~a.any(axis=0)] = 0.0
+    return node_scores(pooled, weights.node_mlp)
 
 
 def brute_force_o2o(cost):

@@ -295,8 +295,9 @@ def metrics_file(path):
     write_metrics_json(path, f1_suite([lanes], [lanes], w_base=15.0))
 
 
-# Each case loaded (with a truncated or coerced value) or raised a non-ParseError before
-# the readers shared one type checker.  Values: (entry path, bad value, field named).
+# Each case loaded (with a truncated, coerced or out-of-range value) or raised a
+# non-ParseError before the readers shared one type checker and range-checked selections
+# and metrics.  Values: (entry path, bad value, field named).
 MALFORMED = {
     "scene": (scene_file, read_scene, {
         "w-string": (("frame", "w"), "800", "frame.w"),
@@ -321,12 +322,18 @@ MALFORMED = {
         "mode-int": (("mode",), 7, "mode"),
         "scenes-int": (("scenes",), 5, "scenes"),
         "scene-int": (("scenes", 0), 5, "scenes[0]"),
+        "mode-unknown": (("mode",), "bogus", "mode"),
+        "scene-id-negative": (("scenes", 0, "scene_id"), -1, "scenes[0].scene_id"),
+        "selected-negative": (("scenes", 0, "selected"), [1, -4], "scenes[0].selected[1]"),
     }),
     "metrics": (metrics_file, read_metrics_json, {
         "tp-float": (("rows", 0, "tp"), 3.7, "rows[0].tp"),
         "rows-int": (("rows",), 5, "rows"),
         "row-list": (("rows", 0), [], "rows[0]"),
         "mf1-string": (("mf1",), "x", "mf1"),
+        "tp-negative": (("rows", 0, "tp"), -3, "rows[0].tp"),
+        "fn-negative": (("rows", 0, "fn"), -1, "rows[0].fn"),
+        "rows-empty": (("rows",), [], "rows"),
     }),
 }
 

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polar_kit import (
     HeadWeights,
@@ -15,11 +17,12 @@ from polar_kit import (
     geometric_adjacency,
     head_forward,
     load_weights,
-    masked_max_pool,
+    max_over_in_edges,
     node_scores,
     roi_project,
     save_weights,
 )
+from oracles import dense_head_forward
 
 N, C_F, D_R, D_N = 12, 4, 8, 5
 OPEN = SuppressionThresholds(tau_theta=1e9, lambda_g=1e9, tau_d=0.5)
@@ -106,6 +109,12 @@ class TestRoiProject:
             roi_project(np.zeros((N + 1, C_F)), weights.pool_matrix)
 
 
+def all_pairs(k):
+    """(src, dst) of every ordered pair, grouped by target."""
+    dst, src = np.nonzero(np.ones((k, k), dtype=bool).T)
+    return src, dst
+
+
 class TestEdgeTensor:
     def test_identical_candidates_constant_when_in_equals_out(self, weights):
         from dataclasses import replace
@@ -114,54 +123,32 @@ class TestEdgeTensor:
         rng = np.random.default_rng(6)
         roi = rng.standard_normal(D_R)
         xs = rng.uniform(0, 800, size=N)
-        edge = edge_tensor(np.stack([roi, roi]), np.stack([xs, xs]), w)
+        edge = edge_tensor(np.stack([roi, roi]), np.stack([xs, xs]), w, [0, 1], [1, 0])
         from polar_kit.o2o_head import _mlp
 
         constant = _mlp(w.sample_bias, w.edge_mlp, sigmoid_out=False)
-        assert np.allclose(edge[0, 1], constant, atol=1e-12)
-        assert np.allclose(edge[1, 0], constant, atol=1e-12)
+        assert np.allclose(edge[0], constant, atol=1e-12)
+        assert np.allclose(edge[1], constant, atol=1e-12)
 
     def test_k1_shape(self, weights):
         rng = np.random.default_rng(7)
-        edge = edge_tensor(rng.standard_normal((1, D_R)), rng.uniform(0, 800, (1, N)), weights)
-        assert edge.shape == (1, 1, D_N)
+        rois, xs = rng.standard_normal((1, D_R)), rng.uniform(0, 800, (1, N))
+        assert edge_tensor(rois, xs, weights, *all_pairs(1)).shape == (1, D_N)
+        assert edge_tensor(rois, xs, weights, [], []).shape == (0, D_N)
 
     def test_locality_under_perturbation(self, weights):
         rng = np.random.default_rng(8)
         rois = rng.standard_normal((5, D_R))
         xs = rng.uniform(0, 800, (5, N))
-        edge = edge_tensor(rois, xs, weights)
+        src, dst = all_pairs(5)
+        edge = edge_tensor(rois, xs, weights, src, dst)
         rois2 = rois.copy()
         rois2[3] += rng.standard_normal(D_R)
-        edge2 = edge_tensor(rois2, xs, weights)
-        touched = np.zeros((5, 5), dtype=bool)
-        touched[3, :] = touched[:, 3] = True
+        edge2 = edge_tensor(rois2, xs, weights, src, dst)
+        touched = (src == 3) | (dst == 3)
         assert np.array_equal(edge[~touched], edge2[~touched])
-        assert not np.allclose(edge[3, 0], edge2[3, 0])
-
-
-class TestMaskedMaxPool:
-    def test_no_edges_pools_zeros(self):
-        edge = np.random.default_rng(9).standard_normal((3, 3, D_N))
-        out = masked_max_pool(edge, np.zeros((3, 3), dtype=bool))
-        assert np.array_equal(out, np.zeros((3, D_N)))
-
-    def test_singleton_pool(self):
-        rng = np.random.default_rng(10)
-        edge = rng.standard_normal((3, 3, D_N))
-        a = np.zeros((3, 3), dtype=bool)
-        a[2, 0] = True
-        out = masked_max_pool(edge, a)
-        assert np.array_equal(out[0], edge[2, 0])
-        assert np.array_equal(out[1], np.zeros(D_N))
-
-    def test_componentwise_maximum(self):
-        edge = np.zeros((2, 2, 3))
-        edge[0, 1] = [1.0, -2.0, 5.0]
-        edge[1, 1] = [0.0, 7.0, 4.0]
-        a = np.array([[False, True], [False, True]])
-        out = masked_max_pool(edge, a)
-        assert out[1].tolist() == [1.0, 7.0, 5.0]
+        row = np.flatnonzero((src == 3) & (dst == 0))[0]
+        assert not np.allclose(edge[row], edge2[row])
 
 
 class TestNodeScores:
@@ -179,6 +166,14 @@ class TestNodeScores:
         pooled = np.random.default_rng(12).standard_normal((50, D_N)) * 50
         s = node_scores(pooled, weights.node_mlp)
         assert np.all((s > 0) & (s < 1))
+
+    def test_saturated_logits_give_exact_zero(self, weights):
+        # exp(-x) overflows for logits below about -709; the score is its limit 0.0
+        w3, b3 = weights.node_mlp[-1]
+        layers = weights.node_mlp[:-1] + ((w3 * 1e5, b3 - 1e5),)
+        s = node_scores(np.full((4, D_N), 50.0), layers)
+        assert s.shape == (4,) and np.all((s >= 0) & (s <= 1))
+        assert 0.0 in s
 
     def test_identical_rows_identical_scores(self, weights):
         row = np.random.default_rng(13).standard_normal(D_N)
@@ -205,12 +200,18 @@ class TestHeadForward:
         scores = np.array([0.9, 0.6])
         rois = roi_project(aggregate_levels(feats, weights.level_weights), weights.pool_matrix)
         adjacency = confidence_adjacency(scores) & geometric_adjacency(thetas, radii, OPEN)
-        pooled = masked_max_pool(edge_tensor(rois, xs, weights), adjacency)
+        dst, src = np.nonzero(adjacency.T)
+        pooled = max_over_in_edges(edge_tensor(rois, xs, weights, src, dst), dst, 2)
         assert np.array_equal(pooled[0], np.zeros(D_N))
         assert np.any(pooled[1] != 0)
         s = head_forward(feats, scores, thetas, radii, xs, OPEN, weights)
         expect = node_scores(pooled, weights.node_mlp)
         assert np.array_equal(s, expect)
+
+    def test_empty_candidate_set(self, weights):
+        feats, scores, thetas, radii, xs = random_inputs(np.random.default_rng(20), 0)
+        s = head_forward(feats, scores, thetas, radii, xs, OPEN, weights)
+        assert s.shape == (0,)
 
     def test_masking_locality_bitwise(self, weights):
         rng = np.random.default_rng(16)
@@ -242,6 +243,11 @@ class TestHeadForward:
             head_forward(feats[:, :2], scores, thetas, radii, xs, OPEN, weights)
         with pytest.raises(ShapeError):
             head_forward(feats, scores[:2], thetas, radii, xs, OPEN, weights)
+        # a length-1 theta or radius array would broadcast over the adjacency
+        with pytest.raises(ShapeError):
+            head_forward(feats, scores, thetas[:1], radii, xs, OPEN, weights)
+        with pytest.raises(ShapeError):
+            head_forward(feats, scores, thetas, radii[:1], xs, OPEN, weights)
 
     @pytest.mark.parametrize(
         "k,n,c_f,d_r,d_n",
@@ -258,6 +264,32 @@ class TestHeadForward:
         s = head_forward(feats, scores, thetas, radii, xs, OPEN, w)
         assert s.shape == (k,)
         assert np.all((s > 0) & (s < 1))
+
+
+GATES = {
+    "open": OPEN,
+    "infinite": SuppressionThresholds(tau_theta=np.inf, lambda_g=np.inf, tau_d=0.5),
+    "finite": SuppressionThresholds(tau_theta=0.3, lambda_g=120.0, tau_d=0.5),
+    "no-edges": SuppressionThresholds(tau_theta=1e-12, lambda_g=1e-12, tau_d=0.5),
+}
+
+
+class TestDenseOracle:
+    """The pair-list head is bitwise equal to the dense (K, K, d_n) reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+           gate=st.sampled_from(sorted(GATES)), ties=st.booleans())
+    def test_bitwise_equal_to_dense_head(self, k, seed, gate, ties):
+        weights = HeadWeights.seeded(N, C_F, D_R, D_N, seed=seed)
+        rng = np.random.default_rng(seed)
+        feats, scores, thetas, radii, xs = random_inputs(rng, k)
+        if ties:  # few distinct scores, so A_C falls back on the index order
+            scores = rng.choice([0.3, 0.6, 0.9], size=k)
+        got = head_forward(feats, scores, thetas, radii, xs, GATES[gate], weights)
+        want = dense_head_forward(feats, scores, thetas, radii, xs, GATES[gate], weights)
+        assert got.shape == (k,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestWeightsIO:

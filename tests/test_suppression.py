@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polar_kit import (
     CandidateSet,
+    ImageFrame,
     InvalidInput,
     MissingO2OScores,
     ParseError,
@@ -15,10 +18,11 @@ from polar_kit import (
     fast_nms_geometric,
     geometric_adjacency,
     iou_distance,
+    max_over_in_edges,
     sequential_nms,
 )
 from polar_kit.harness import read_candidates
-from oracles import reference_fast_nms
+from oracles import dense_fast_nms, reference_fast_nms
 
 WIDE_OPEN = SuppressionThresholds(tau_theta=1e9, lambda_g=1e9, tau_d=0.5, tau_o2m=0.3)
 
@@ -164,6 +168,56 @@ class TestFastNms:
         huge_tau = SuppressionThresholds(1e9, 1e9, 1e9, tau_o2m=0.3)
         sel = fast_nms_geometric(cs, huge_tau, iou_distance(15.0))
         assert sel.tolist() == [0]
+
+
+GATE = st.one_of(st.floats(1e-3, 2.0), st.sampled_from([1e-12, np.inf]))
+
+
+class TestFastNmsDenseOracle:
+    """The pair-list pooling keeps exactly the set the dense K x K pooling keeps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(0, 60), seed=st.integers(0, 2**32 - 1), ties=st.booleans(),
+           tau_theta=GATE, lambda_g=GATE.map(lambda g: 100.0 * g),
+           tau_d=st.floats(0.05, 1.5))
+    def test_set_equal_to_dense_pooling(self, k, seed, ties, tau_theta, lambda_g, tau_d):
+        rng = np.random.default_rng(seed)
+        scores = rng.choice([0.2, 0.5, 0.8], k) if ties else rng.uniform(0, 1, k)
+        d = rng.uniform(0.0, 2.0, (k, k))
+        d[rng.uniform(size=(k, k)) < 0.1] = 0.0
+        tiny = ImageFrame(800, 320, 2)
+        cands = CandidateSet(
+            frame=tiny, thetas=rng.uniform(-1, 1, k), radii=rng.uniform(-100, 100, k),
+            anchor_xs=np.zeros((k, 2)), lane_xs=np.zeros((k, 2)),
+            valid=np.tile([0, 1], (k, 1)), scores_o2m=scores,
+        )
+        th = SuppressionThresholds(tau_theta, lambda_g, tau_d, tau_o2m=0.3)
+        adjacency = confidence_adjacency(scores) & geometric_adjacency(
+            cands.thetas, cands.radii, th)
+        got = fast_nms_geometric(cands, th, lambda _: d)
+        assert got.tolist() == dense_fast_nms(scores, adjacency, d, tau_d, 0.3).tolist()
+
+
+class TestMaxOverInEdges:
+    def test_no_edges_pools_zeros(self):
+        out = max_over_in_edges(np.zeros((0, 5)), np.array([], dtype=int), 3)
+        assert np.array_equal(out, np.zeros((3, 5)))
+
+    def test_singleton_pool(self):
+        row = np.random.default_rng(10).standard_normal((1, 5)) - 10.0  # all negative
+        out = max_over_in_edges(row, np.array([0]), 3)
+        assert np.array_equal(out[0], row[0])
+        assert np.array_equal(out[1:], np.zeros((2, 5)))
+
+    def test_componentwise_maximum(self):
+        values = np.array([[9.0, 9.0, 9.0], [1.0, -2.0, 5.0], [0.0, 7.0, 4.0]])
+        out = max_over_in_edges(values, np.array([0, 1, 1]), 2)
+        assert out[1].tolist() == [1.0, 7.0, 5.0]
+        assert out[0].tolist() == [9.0, 9.0, 9.0]
+
+    def test_scalar_rows(self):
+        out = max_over_in_edges([3.0, 1.0, 2.0, np.inf], np.array([1, 1, 3, 3]), 4)
+        assert out.tolist() == [0.0, 3.0, 0.0, np.inf]
 
 
 class TestSequentialNms:
