@@ -7,6 +7,12 @@ duplicates lane-shaped instead of scattering rows independently).  Confidence
 follows s = exp(-rms^2 / sigma_score^2) + uniform noise, clipped to [0, 1],
 so closer candidates score higher.  Background candidates are random anchors
 with capped scores.
+
+The draw order is part of the byte contract (``candidates_sha256``): each
+ground-truth candidate draws ``standard_normal(3 + n_rows)`` (theta, r, shift,
+row jitter; ``0.0 + sigma * z`` is ``rng.normal(0, sigma)`` bit for bit), then
+one ``uniform(0, score_noise)``; the background then draws (theta, r, score)
+uniforms per candidate.  All other arithmetic runs on whole-scene arrays.
 """
 
 from __future__ import annotations
@@ -44,14 +50,16 @@ class CandidateGenSpec:
     def __post_init__(self):
         if self.n_per_gt < 1:
             raise InvalidSpec("n_per_gt must be >= 1")
-        if min(self.sigma_theta, self.sigma_r, self.sigma_x, self.sigma_score) < 0:
-            raise InvalidSpec("noise scales must be non-negative")
+        for name in ("sigma_theta", "sigma_r", "sigma_x", "sigma_score", "score_noise"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidSpec(f"{name} must be finite and >= 0, got {value}")
+        if self.sigma_score == 0:
+            raise InvalidSpec("sigma_score must be > 0")
         if self.n_background < 0:
             raise InvalidSpec("n_background must be >= 0")
         if not (0.0 <= self.background_score_cap <= 1.0):
             raise InvalidSpec("background_score_cap must lie in [0, 1]")
-        if self.score_noise < 0:
-            raise InvalidSpec("score_noise must be >= 0")
         if self.seed < 0:
             raise InvalidSpec("seed must be >= 0")
 
@@ -70,52 +78,44 @@ def gen_candidates(
     if pole is None:
         pole = default_global_pole(frame)
     rng = np.random.default_rng(spec.seed)
+    n, rows = spec.n_per_gt, frame.n_rows
+    z = np.empty((len(gts) * n, 3 + rows))
+    noise = np.empty(len(z))
+    for i in range(len(z)):
+        rng.standard_normal(out=z[i])
+        noise[i] = rng.uniform(0, spec.score_noise)
+    background = rng.uniform([-0.5, -0.45, 0.0], [0.5, 0.45, spec.background_score_cap],
+                             size=(spec.n_background, 3))
 
-    thetas, radii, anchor_rows, lane_rows, valid, scores = [], [], [], [], [], []
-    for gt in gts:
-        chord = segment_params(gt, 1, pole)
-        for _ in range(spec.n_per_gt):
-            theta = float(
-                np.clip(chord.theta_seg[0] + rng.normal(0.0, spec.sigma_theta),
-                        -_THETA_LIMIT, _THETA_LIMIT)
-            )
-            radius = float(chord.r_seg[0] + rng.normal(0.0, spec.sigma_r))
-            theta, radius = float(quantize(theta)), float(quantize(radius))
-            a_xs = quantize(sample_anchor_xs_batch(theta, radius, pole, frame))
-            shift = rng.normal(0.0, spec.sigma_x)
-            jitter = rng.normal(0.0, spec.sigma_x / 10.0, size=frame.n_rows)
-            l_xs = np.where(gt.valid_mask(), gt.xs + shift + jitter, 0.0)
-            l_xs = quantize(l_xs)
-            lo, hi = gt.valid
-            rms = math.sqrt(float(np.mean((l_xs[lo : hi + 1] - gt.xs[lo : hi + 1]) ** 2)))
-            score = math.exp(-(rms**2) / spec.sigma_score**2) + rng.uniform(0, spec.score_noise)
-            thetas.append(theta)
-            radii.append(radius)
-            anchor_rows.append(a_xs)
-            lane_rows.append(l_xs)
-            valid.append([lo, hi])
-            scores.append(float(quantize(min(max(score, 0.0), 1.0))))
+    chords = [segment_params(gt, 1, pole) for gt in gts]
+    theta0 = np.repeat([c.theta_seg[0] for c in chords], n)
+    r0 = np.repeat([c.r_seg[0] for c in chords], n)
+    gt_thetas = np.clip(theta0 + (0.0 + spec.sigma_theta * z[:, 0]), -_THETA_LIMIT, _THETA_LIMIT)
+    thetas = quantize(np.concatenate([gt_thetas, background[:, 0]]))
+    radii = quantize(np.concatenate([r0 + (0.0 + spec.sigma_r * z[:, 1]),
+                                     background[:, 1] * frame.width]))
+    anchor_xs = quantize(sample_anchor_xs_batch(thetas, radii, pole, frame))
 
-    for _ in range(spec.n_background):
-        theta = float(quantize(rng.uniform(-0.5, 0.5)))
-        radius = float(quantize(rng.uniform(-0.45, 0.45) * frame.width))
-        a_xs = quantize(sample_anchor_xs_batch(theta, radius, pole, frame))
-        thetas.append(theta)
-        radii.append(radius)
-        anchor_rows.append(a_xs)
-        lane_rows.append(a_xs.copy())
-        valid.append([0, frame.n_rows - 1])
-        scores.append(float(quantize(rng.uniform(0.0, spec.background_score_cap))))
+    gt_xs = np.repeat(np.array([gt.xs for gt in gts]).reshape(-1, rows), n, axis=0)
+    shifted = gt_xs + (0.0 + spec.sigma_x * z[:, 2:3]) + (0.0 + spec.sigma_x / 10.0 * z[:, 3:])
+    lane_xs = quantize(np.where(np.isnan(gt_xs), 0.0, shifted))  # NaN off the valid rows
+    fit = np.empty(len(z))
+    for g, gt in enumerate(gts):
+        block = slice(g * n, (g + 1) * n)
+        err = lane_xs[block, gt.lo:gt.hi + 1] - gt.xs[gt.lo:gt.hi + 1]
+        rms = np.sqrt(np.mean(err**2, axis=1))
+        fit[block] = [math.exp(-(r**2) / spec.sigma_score**2) for r in rms.tolist()]
+    scores = quantize(np.concatenate([np.clip(fit + noise, 0.0, 1.0), background[:, 2]]))
 
-    k = len(thetas)
+    valid = [gt.valid for gt in gts for _ in range(n)] + [(0, rows - 1)] * spec.n_background
     return CandidateSet(
         frame=frame,
-        thetas=np.array(thetas),
-        radii=np.array(radii),
-        anchor_xs=np.array(anchor_rows).reshape(k, frame.n_rows),
-        lane_xs=np.array(lane_rows).reshape(k, frame.n_rows),
-        valid=np.array(valid, dtype=int).reshape(k, 2),
-        scores_o2m=np.array(scores),
+        thetas=thetas,
+        radii=radii,
+        anchor_xs=anchor_xs,
+        lane_xs=np.concatenate([lane_xs, anchor_xs[len(z):]]),
+        valid=np.array(valid, dtype=int).reshape(-1, 2),
+        scores_o2m=scores,
         scores_o2o=None,
         pole=pole,
     )

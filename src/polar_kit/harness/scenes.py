@@ -85,11 +85,9 @@ def gen_scene(spec: SceneSpec) -> list[LaneGrid]:
     tops = tops + rng.uniform(-8.0, 8.0, size=n)
     curves = rng.uniform(spec.curvature[0], spec.curvature[1], size=n)
 
-    lanes = []
     full = (0, frame.n_rows - 1)
-    for i in range(n):
-        xs = quantize(_quadratic_xs(frame, bottoms[i], tops[i], curves[i]))
-        lanes.append(LaneGrid(xs=xs, valid=full, frame=frame))
+    lane_xs = quantize(_quadratic_xs(frame, bottoms[:, None], tops[:, None], curves[:, None]))
+    lanes = [LaneGrid(xs=xs, valid=full, frame=frame) for xs in lane_xs]
 
     if spec.kind == "dense":
         base_idx = int(rng.integers(0, n))

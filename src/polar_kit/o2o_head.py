@@ -20,8 +20,8 @@ import numpy as np
 
 from . import jsonio
 from .errors import ParseError, ShapeError, VersionError
-from .suppression import (SuppressionThresholds, confidence_adjacency, geometric_adjacency,
-                          max_over_in_edges)
+from .suppression import (SuppressionThresholds, check_pair_list, confidence_adjacency,
+                          geometric_adjacency, max_over_in_edges)
 
 MlpLayers = tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -219,7 +219,7 @@ def edge_tensor(rois, anchor_xs, weights: HeadWeights, src, dst) -> np.ndarray:
 
     D_edge[i, j] = MLP_edge(W_in F_j - W_out F_i + W_s (x_j - x_i) + b_s)
     with F the ReLU-transformed RoI features.  Row p depends only on
-    candidates src[p] and dst[p].
+    candidates src[p] and dst[p]; an index outside [0, K) raises InvalidInput.
     """
     rois = np.asarray(rois, dtype=float)
     xs = np.asarray(anchor_xs, dtype=float)
@@ -228,6 +228,7 @@ def edge_tensor(rois, anchor_xs, weights: HeadWeights, src, dst) -> np.ndarray:
         raise ShapeError(f"rois must have shape (K, {weights.d_r})")
     if xs.shape != (k, weights.n_rows):
         raise ShapeError(f"anchor_xs must have shape ({k}, {weights.n_rows})")
+    src, dst = check_pair_list(k, src, dst)
     f_hat = _relu(rois @ weights.roi_matrix.T + weights.roi_bias)
     f_in = f_hat @ weights.in_matrix.T
     f_out = f_hat @ weights.out_matrix.T

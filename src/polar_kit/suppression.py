@@ -155,14 +155,30 @@ def geometric_adjacency(thetas, radii, thresholds: SuppressionThresholds) -> np.
     )
 
 
+def check_pair_list(k: int, *index) -> tuple[np.ndarray, ...]:
+    """The index arrays of a pair list as intp; each must hold one integer in [0, k) per pair."""
+    index = tuple(np.asarray(i) for i in index)
+    for i in index:
+        if i.ndim != 1 or i.shape != index[0].shape:
+            raise ShapeError("pair indices must be one-dimensional and of equal length")
+        if i.size and (i.dtype.kind not in "iu" or i.min() < 0 or i.max() >= k):
+            raise InvalidInput(f"pair indices must be integers in [0, {k})")
+    return tuple(i.astype(np.intp, copy=False) for i in index)
+
+
 def max_over_in_edges(values, dst, k: int) -> np.ndarray:
     """(k, ...) element-wise max of ``values`` rows over each target's in-edges.
 
     Row p of ``values`` belongs to the edge into ``dst[p]``; ``dst`` must be
-    grouped by target, as ``np.nonzero(adjacency.T)`` returns it.  A target
-    with no in-edge pools zeros.
+    sorted by target, as ``np.nonzero(adjacency.T)`` returns it (else
+    InvalidInput).  A target with no in-edge pools zeros.
     """
     values = np.asarray(values, dtype=float)
+    (dst,) = check_pair_list(k, dst)
+    if values.shape[:1] != dst.shape:
+        raise ShapeError("values must hold one row per pair")
+    if np.any(dst[1:] < dst[:-1]):
+        raise InvalidInput("dst must be grouped by target in ascending order")
     targets, starts = np.unique(dst, return_index=True)
     pooled = np.zeros((k, *values.shape[1:]))
     pooled[targets] = np.maximum.reduceat(values, starts, axis=0)

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 These stay deliberately naive (row loops, permutation search, explicit
-geometry, dense K x K pooling) and never call the code paths they check.
+geometry, dense K x K pooling, per-element printing, per-candidate
+generation) and never call the code paths they check.
 The dense references reuse only the building blocks outside the path under
 test (adjacencies, RoI projection, MLPs).
 """
@@ -13,8 +14,10 @@ import math
 
 import numpy as np
 
+from polar_kit.geometry import sample_anchor_xs_batch
+from polar_kit.losses import segment_params
 from polar_kit.o2o_head import _mlp, _relu, aggregate_levels, node_scores, roi_project
-from polar_kit.suppression import confidence_adjacency, geometric_adjacency
+from polar_kit.suppression import CandidateSet, confidence_adjacency, geometric_adjacency
 
 
 def boundaries_oracle(lane, w_base):
@@ -162,3 +165,59 @@ def brute_force_matching(iou, threshold):
         if found:
             break  # larger counts already explored; count dominates
     return best
+
+
+def quantize_oracle(x):
+    """9 significant digits by printing every element with format(v, ".9g")."""
+    if np.isscalar(x):
+        return float(format(float(x), ".9g"))
+    arr = np.asarray(x, dtype=float)
+    out = np.array([float(format(v, ".9g")) for v in arr.ravel()])
+    return out.reshape(arr.shape)
+
+
+def gen_candidates_oracle(gts, spec, frame, pole):
+    """Candidate generation one candidate at a time, each draw taken where it is used."""
+    rng = np.random.default_rng(spec.seed)
+    thetas, radii, anchor_rows, lane_rows, valid, scores = [], [], [], [], [], []
+    for gt in gts:
+        chord = segment_params(gt, 1, pole)
+        for _ in range(spec.n_per_gt):
+            theta = float(np.clip(chord.theta_seg[0] + rng.normal(0.0, spec.sigma_theta),
+                                  -1.2, 1.2))
+            radius = float(chord.r_seg[0] + rng.normal(0.0, spec.sigma_r))
+            theta, radius = quantize_oracle(theta), quantize_oracle(radius)
+            a_xs = quantize_oracle(sample_anchor_xs_batch(theta, radius, pole, frame))
+            shift = rng.normal(0.0, spec.sigma_x)
+            jitter = rng.normal(0.0, spec.sigma_x / 10.0, size=frame.n_rows)
+            l_xs = quantize_oracle(np.where(gt.valid_mask(), gt.xs + shift + jitter, 0.0))
+            lo, hi = gt.valid
+            rms = math.sqrt(float(np.mean((l_xs[lo : hi + 1] - gt.xs[lo : hi + 1]) ** 2)))
+            score = math.exp(-(rms**2) / spec.sigma_score**2) + rng.uniform(0, spec.score_noise)
+            thetas.append(theta)
+            radii.append(radius)
+            anchor_rows.append(a_xs)
+            lane_rows.append(l_xs)
+            valid.append([lo, hi])
+            scores.append(quantize_oracle(min(max(score, 0.0), 1.0)))
+    for _ in range(spec.n_background):
+        theta = quantize_oracle(rng.uniform(-0.5, 0.5))
+        radius = quantize_oracle(rng.uniform(-0.45, 0.45) * frame.width)
+        a_xs = quantize_oracle(sample_anchor_xs_batch(theta, radius, pole, frame))
+        thetas.append(theta)
+        radii.append(radius)
+        anchor_rows.append(a_xs)
+        lane_rows.append(a_xs.copy())
+        valid.append([0, frame.n_rows - 1])
+        scores.append(quantize_oracle(rng.uniform(0.0, spec.background_score_cap)))
+    k = len(thetas)
+    return CandidateSet(
+        frame=frame,
+        thetas=np.array(thetas),
+        radii=np.array(radii),
+        anchor_xs=np.array(anchor_rows).reshape(k, frame.n_rows),
+        lane_xs=np.array(lane_rows).reshape(k, frame.n_rows),
+        valid=np.array(valid, dtype=int).reshape(k, 2),
+        scores_o2m=np.array(scores),
+        pole=pole,
+    )

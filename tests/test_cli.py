@@ -266,6 +266,7 @@ class TestConfigSections:
         ("scenes", "width", 1600.0),
         ("pipeline", "nms_width", "40"),
         ("scenes", "curvature", [-25.0]),
+        ("candidates", "sigma_score", 0.0),
     ])
     def test_bad_value_exit_2_names_key(self, tmp_path, capsys, section, key, value):
         cfg = write_config(tmp_path / "cfg.json", {section: {key: value}})

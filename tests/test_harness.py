@@ -138,6 +138,17 @@ class TestGenCandidates:
         with pytest.raises(InvalidSpec, match="seed"):
             CandidateGenSpec(seed=-3)
 
+    @pytest.mark.parametrize("field", ["sigma_theta", "sigma_r", "sigma_x", "sigma_score",
+                                       "score_noise"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_noise_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(InvalidSpec, match=field):
+            CandidateGenSpec(**{field: value})
+
+    def test_zero_sigma_score_rejected(self):
+        with pytest.raises(InvalidSpec, match="sigma_score must be > 0"):
+            CandidateGenSpec(sigma_score=0.0)
+
     def test_oracle_scores_one_per_gt(self):
         gts = gen_scene(dense_spec(8))
         cands = gen_candidates(gts, CandidateGenSpec(seed=5))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polar_kit import (
     HeadWeights,
+    InvalidInput,
     ParseError,
     ShapeError,
     SuppressionThresholds,
@@ -129,6 +130,16 @@ class TestEdgeTensor:
         constant = _mlp(w.sample_bias, w.edge_mlp, sigmoid_out=False)
         assert np.allclose(edge[0], constant, atol=1e-12)
         assert np.allclose(edge[1], constant, atol=1e-12)
+
+    @pytest.mark.parametrize("src, dst, error", [
+        ([-1], [0], InvalidInput), ([0], [3], InvalidInput), ([0.0], [1], InvalidInput),
+        ([0, 1], [1], ShapeError),
+    ])
+    def test_bad_pair_indices_rejected(self, weights, src, dst, error):
+        rng = np.random.default_rng(7)
+        rois, xs = rng.standard_normal((3, D_R)), rng.uniform(0, 800, (3, N))
+        with pytest.raises(error):
+            edge_tensor(rois, xs, weights, src, dst)
 
     def test_k1_shape(self, weights):
         rng = np.random.default_rng(7)

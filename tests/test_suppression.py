@@ -12,6 +12,7 @@ from polar_kit import (
     MissingO2OScores,
     ParseError,
     Pole,
+    ShapeError,
     SuppressionThresholds,
     confidence_adjacency,
     dual_confidence_select,
@@ -218,6 +219,19 @@ class TestMaxOverInEdges:
     def test_scalar_rows(self):
         out = max_over_in_edges([3.0, 1.0, 2.0, np.inf], np.array([1, 1, 3, 3]), 4)
         assert out.tolist() == [0.0, 3.0, 0.0, np.inf]
+
+    def test_ungrouped_targets_rejected(self):
+        with pytest.raises(InvalidInput, match="grouped"):
+            max_over_in_edges([1.0, 5.0, 2.0], [1, 0, 1], 2)
+
+    @pytest.mark.parametrize("dst", [[-1], [2], [0.0], [True]])
+    def test_target_outside_range_rejected(self, dst):
+        with pytest.raises(InvalidInput, match=r"\[0, 2\)"):
+            max_over_in_edges([1.0], dst, 2)
+
+    def test_one_row_per_pair(self):
+        with pytest.raises(ShapeError):
+            max_over_in_edges([1.0, 2.0], [0], 2)
 
 
 class TestSequentialNms:
