@@ -76,6 +76,7 @@ from .o2o_head import (
     save_weights,
 )
 from .suppression import (
+    CandidateGraph,
     CandidateSet,
     SuppressionThresholds,
     confidence_adjacency,
@@ -83,7 +84,6 @@ from .suppression import (
     fast_nms_geometric,
     geometric_adjacency,
     iou_distance,
-    max_over_in_edges,
     sequential_nms,
 )
 

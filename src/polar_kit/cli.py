@@ -130,7 +130,7 @@ def _pipeline_run(cfg: dict, seed: int) -> PipelineRun:
         eval_w_base=defaults.DEFAULT_W_BASE,
         head_seed=seed,
     )
-    return _read(cfg, "pipeline", base, "scenes", "candidates", "thresholds", "eval_thresholds")
+    return _read(cfg, "pipeline", base, "scenes", "candidates", "thresholds")
 
 
 def _out_dir(args) -> Path:

@@ -131,7 +131,9 @@ def match_lanes(
 
     Maximizes matched-pair count first and total IoU second.  Returns
     (tp pairs as (pred, gt), fp prediction indices, fn ground-truth indices).
+    A threshold outside (0, 1] raises ValueError, as in ``f1_suite``.
     """
+    (iou_threshold,) = checked_thresholds([iou_threshold])
     iou = iou_matrix(preds, gts, w_base)  # checks w_base even when a side is empty
     if iou.size == 0:
         return [], list(range(len(preds))), list(range(len(gts)))

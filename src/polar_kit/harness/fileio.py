@@ -22,6 +22,7 @@ least one metrics row.
 from __future__ import annotations
 
 import json
+import math
 from functools import partial
 from pathlib import Path
 
@@ -106,10 +107,7 @@ def scene_to_dict(
     return {
         "version": FORMAT_VERSION,
         "frame": _frame_to_dict(frame),
-        "lanes": [
-            {"points": [[float(quantize(x)), float(quantize(y))] for x, y in lane.points_image()]}
-            for lane in lanes
-        ],
+        "lanes": [{"points": quantize(lane.points_image()).tolist()} for lane in lanes],
         "meta": dict(meta or {}),
     }
 
@@ -289,12 +287,12 @@ def write_metrics_csv(path, report: MetricsReport) -> None:
 def labels_to_dict(per_scene: list[PoleGridLabels], grid: tuple[int, int], lambda_l: float) -> dict:
     scenes = []
     for i, labels in enumerate(per_scene):
-        r = labels.r_hat.ravel()
+        r = quantize(labels.r_hat.ravel()).tolist()
         scenes.append(
             {
                 "scene_id": i,
-                "r_hat": [None if not np.isfinite(v) else float(quantize(v)) for v in r],
-                "theta_hat": [float(quantize(v)) for v in labels.theta_hat.ravel()],
+                "r_hat": [v if math.isfinite(v) else None for v in r],
+                "theta_hat": quantize(labels.theta_hat.ravel()).tolist(),
                 "s_hat": [int(v) for v in labels.s_hat.ravel()],
             }
         )

@@ -47,7 +47,6 @@ class PipelineRun:
     thresholds: SuppressionThresholds
     nms_width: float = defaults.NMS_WIDTH_OPTIMAL_PX  # w_base of the NMS distance function
     eval_w_base: float = defaults.DEFAULT_W_BASE
-    eval_thresholds: tuple = MF1_THRESHOLDS
     oracle_o2o: bool = False       # idealized one-to-one scorer instead of the head
     head_seed: int = 0
     feat_c_f: int = 8
@@ -157,7 +156,7 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
     t_start = time.perf_counter()
     n = len(run.scenes)
     if n == 0:
-        empty = f1_suite([], [], run.eval_thresholds, run.eval_w_base)
+        empty = f1_suite([], [], MF1_THRESHOLDS, run.eval_w_base)
         return PipelineResult(empty, (), (), (), 0.0, ())
     with ThreadPoolExecutor(max_workers=_worker_count(n)) as pool:
         results = list(pool.map(process, range(n)))
@@ -168,7 +167,7 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
     report = f1_suite(
         [list(p) for p in preds_per_scene],
         [list(g) for g in gts_per_scene],
-        run.eval_thresholds,
+        MF1_THRESHOLDS,
         run.eval_w_base,
     )
     return PipelineResult(

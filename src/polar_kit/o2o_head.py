@@ -1,11 +1,11 @@
 """Deterministic forward pass of the one-to-one scoring head.
 
-The head refines per-candidate RoI features over the gated pair list that
-fast NMS uses (A = A_C * A_G, grouped by target): each pair gets a
-semantic-distance edge vector, ``max_over_in_edges`` keeps each candidate's
-strongest potential suppressor component-wise, as fast NMS pools 1/d, and a
-small MLP with a terminal sigmoid emits the one-to-one score.  Weights are
-supplied externally (seeded or loaded); nothing here trains.
+The head refines per-candidate RoI features over the ``CandidateGraph`` that
+fast NMS uses (the pairs of A = A_C * A_G, grouped by target): each pair gets
+a semantic-distance edge vector, the graph's ``in_edge_max`` keeps each
+candidate's strongest potential suppressor component-wise, as fast NMS pools
+1/d, and a small MLP with a terminal sigmoid emits the one-to-one score.
+Weights are supplied externally (seeded or loaded); nothing here trains.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from . import jsonio
 from .errors import ParseError, ShapeError, VersionError
-from .suppression import (SuppressionThresholds, check_pair_list, confidence_adjacency,
-                          geometric_adjacency, max_over_in_edges)
+from .suppression import (CandidateGraph, SuppressionThresholds, confidence_adjacency,
+                          geometric_adjacency)
 
 MlpLayers = tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -214,12 +214,12 @@ def _mlp(x: np.ndarray, layers: MlpLayers, sigmoid_out: bool) -> np.ndarray:
     return _sigmoid(x) if sigmoid_out else x
 
 
-def edge_tensor(rois, anchor_xs, weights: HeadWeights, src, dst) -> np.ndarray:
-    """(P, d_n) semantic distances of the P pairs; row p reads "src[p] vs dst[p]".
+def edge_tensor(rois, anchor_xs, weights: HeadWeights, graph: CandidateGraph) -> np.ndarray:
+    """(P, d_n) semantic distances of the graph's P pairs; row p reads "src[p] vs dst[p]".
 
     D_edge[i, j] = MLP_edge(W_in F_j - W_out F_i + W_s (x_j - x_i) + b_s)
     with F the ReLU-transformed RoI features.  Row p depends only on
-    candidates src[p] and dst[p]; an index outside [0, K) raises InvalidInput.
+    candidates src[p] and dst[p]; a graph of another K raises ShapeError.
     """
     rois = np.asarray(rois, dtype=float)
     xs = np.asarray(anchor_xs, dtype=float)
@@ -228,11 +228,13 @@ def edge_tensor(rois, anchor_xs, weights: HeadWeights, src, dst) -> np.ndarray:
         raise ShapeError(f"rois must have shape (K, {weights.d_r})")
     if xs.shape != (k, weights.n_rows):
         raise ShapeError(f"anchor_xs must have shape ({k}, {weights.n_rows})")
-    src, dst = check_pair_list(k, src, dst)
+    if graph.k != k:
+        raise ShapeError(f"graph must be over the {k} candidates, not {graph.k}")
     f_hat = _relu(rois @ weights.roi_matrix.T + weights.roi_bias)
     f_in = f_hat @ weights.in_matrix.T
     f_out = f_hat @ weights.out_matrix.T
     sx = xs @ weights.sample_matrix.T
+    src, dst = graph.src, graph.dst
     pre = f_in[dst] - f_out[src] + sx[dst] - sx[src] + weights.sample_bias
     return _mlp(pre, weights.edge_mlp, sigmoid_out=False)
 
@@ -276,7 +278,7 @@ def head_forward(
     if not scores_o2m.shape == np.shape(thetas) == np.shape(radii) == (k,):
         raise ShapeError("scores_o2m, thetas and radii must have shape (K,)")
     rois = roi_project(aggregate_levels(feats, weights.level_weights), weights.pool_matrix)
-    adjacency = confidence_adjacency(scores_o2m) & geometric_adjacency(thetas, radii, thresholds)
-    dst, src = np.nonzero(adjacency.T)
-    edges = edge_tensor(rois, anchor_xs, weights, src, dst)
-    return node_scores(max_over_in_edges(edges, dst, k), weights.node_mlp)
+    graph = CandidateGraph(
+        confidence_adjacency(scores_o2m) & geometric_adjacency(thetas, radii, thresholds))
+    edges = edge_tensor(rois, anchor_xs, weights, graph)
+    return node_scores(graph.in_edge_max(edges), weights.node_mlp)

@@ -7,12 +7,11 @@ Three interchangeable selectors operate on a ``CandidateSet``:
   confidence adjacency A_C, masked by the geometric adjacency A_G;
 * ``dual_confidence_select`` - NMS-free thresholding on both score heads.
 
-Fast NMS and the one-to-one head share one pooling rule: A = A_C * A_G as a
-pair list grouped by target (``dst, src = np.nonzero(A.T)``), and one value
-row per pair max-pooled over each target's in-neighbors by
-``max_over_in_edges``.  Fast NMS pools 1/d(lane_i, lane_j): candidate j
-survives iff that max stays below 1/tau_d; an empty in-neighborhood pools 0
-and survives.
+Fast NMS and the one-to-one head share one pooling rule over one
+``CandidateGraph``: the gated pair list of A = A_C * A_G, grouped by target,
+whose ``in_edge_max`` max-pools one value row per pair over each target's
+in-neighbors.  Fast NMS pools 1/d(lane_i, lane_j): candidate j survives iff
+that max stays below 1/tau_d; an empty in-neighborhood pools 0 and survives.
 """
 
 from __future__ import annotations
@@ -155,34 +154,32 @@ def geometric_adjacency(thetas, radii, thresholds: SuppressionThresholds) -> np.
     )
 
 
-def check_pair_list(k: int, *index) -> tuple[np.ndarray, ...]:
-    """The index arrays of a pair list as intp; each must hold one integer in [0, k) per pair."""
-    index = tuple(np.asarray(i) for i in index)
-    for i in index:
-        if i.ndim != 1 or i.shape != index[0].shape:
-            raise ShapeError("pair indices must be one-dimensional and of equal length")
-        if i.size and (i.dtype.kind not in "iu" or i.min() < 0 or i.max() >= k):
-            raise InvalidInput(f"pair indices must be integers in [0, {k})")
-    return tuple(i.astype(np.intp, copy=False) for i in index)
+class CandidateGraph:
+    """The pair list of a square boolean adjacency A over k candidates, grouped by target.
 
-
-def max_over_in_edges(values, dst, k: int) -> np.ndarray:
-    """(k, ...) element-wise max of ``values`` rows over each target's in-edges.
-
-    Row p of ``values`` belongs to the edge into ``dst[p]``; ``dst`` must be
-    sorted by target, as ``np.nonzero(adjacency.T)`` returns it (else
-    InvalidInput).  A target with no in-edge pools zeros.
+    Pair p is the edge ``src[p] -> dst[p]`` with ``A[src[p], dst[p]]`` set, in
+    ``np.nonzero(A.T)`` order, so ``dst`` ascends and each target's in-edges
+    form one contiguous run.  The index arrays are read-only.
     """
-    values = np.asarray(values, dtype=float)
-    (dst,) = check_pair_list(k, dst)
-    if values.shape[:1] != dst.shape:
-        raise ShapeError("values must hold one row per pair")
-    if np.any(dst[1:] < dst[:-1]):
-        raise InvalidInput("dst must be grouped by target in ascending order")
-    targets, starts = np.unique(dst, return_index=True)
-    pooled = np.zeros((k, *values.shape[1:]))
-    pooled[targets] = np.maximum.reduceat(values, starts, axis=0)
-    return pooled
+
+    def __init__(self, adjacency):
+        adjacency = np.asarray(adjacency)
+        if adjacency.dtype != bool or adjacency.ndim != 2 or len(set(adjacency.shape)) != 1:
+            raise ShapeError("adjacency must be a square boolean (K, K) matrix")
+        self.k = adjacency.shape[0]
+        dst, src = np.nonzero(adjacency.T)
+        self.src, self.dst = _frozen(src, np.intp), _frozen(dst, np.intp)
+        self._targets, self._starts = np.unique(dst, return_index=True)
+
+    def in_edge_max(self, values) -> np.ndarray:
+        """(k, ...) element-wise max of the rows of ``values`` (row p for pair p)
+        over each target's in-edges; a target with no in-edge pools zeros."""
+        values = np.asarray(values, dtype=float)
+        if values.shape[:1] != self.dst.shape:
+            raise ShapeError("values must hold one row per pair")
+        pooled = np.zeros((self.k, *values.shape[1:]))
+        pooled[self._targets] = np.maximum.reduceat(values, self._starts, axis=0)
+        return pooled
 
 
 def iou_distance(w_base: float) -> DistanceFn:
@@ -203,6 +200,15 @@ def iou_distance(w_base: float) -> DistanceFn:
     return matrix
 
 
+def _distance_matrix(cands: CandidateSet, distance: DistanceFn) -> np.ndarray:
+    """``distance(cands)`` as floats; ShapeError unless it is (K, K)."""
+    k = len(cands)
+    dist = np.asarray(distance(cands), dtype=float)
+    if dist.shape != (k, k):
+        raise ShapeError(f"distance matrix must have shape ({k}, {k})")
+    return dist
+
+
 def fast_nms_geometric(
     cands: CandidateSet, thresholds: SuppressionThresholds, distance: DistanceFn
 ) -> np.ndarray:
@@ -213,20 +219,15 @@ def fast_nms_geometric(
     set intersects survivors with {s_o2m > tau_o2m}.  Single pass, no
     rescue: a suppressed candidate still suppresses others.
     """
-    k = len(cands)
-    if k == 0:
+    if len(cands) == 0:
         return np.empty(0, dtype=int)
-    adjacency = confidence_adjacency(cands.scores_o2m) & geometric_adjacency(
-        cands.thetas, cands.radii, thresholds
-    )
-    dist = np.asarray(distance(cands), dtype=float)
-    if dist.shape != (k, k):
-        raise ShapeError(f"distance matrix must have shape ({k}, {k})")
-    dst, src = np.nonzero(adjacency.T)
-    d = dist[src, dst]
+    dist = _distance_matrix(cands, distance)
+    graph = CandidateGraph(confidence_adjacency(cands.scores_o2m)
+                           & geometric_adjacency(cands.thetas, cands.radii, thresholds))
+    d = dist[graph.src, graph.dst]
     with np.errstate(divide="ignore"):
         inverse = np.where(d > 0, 1.0 / d, np.inf)
-    survive = max_over_in_edges(inverse, dst, k) < 1.0 / thresholds.tau_d
+    survive = graph.in_edge_max(inverse) < 1.0 / thresholds.tau_d
     return np.flatnonzero(survive & (cands.scores_o2m > thresholds.tau_o2m))
 
 
@@ -240,13 +241,10 @@ def sequential_nms(
     it.  Score ties resolve toward the higher index, matching the
     confidence-adjacency order.
     """
-    k = len(cands)
-    if k == 0:
-        return np.empty(0, dtype=int)
     alive = np.flatnonzero(cands.scores_o2m > tau_o2m)
     if alive.size == 0:
         return alive
-    dist = np.asarray(distance(cands), dtype=float)
+    dist = _distance_matrix(cands, distance)
     remaining = alive[np.lexsort((-alive, -cands.scores_o2m[alive]))]
     kept = []
     while remaining.size:

@@ -176,6 +176,18 @@ def quantize_oracle(x):
     return out.reshape(arr.shape)
 
 
+def scene_lanes_oracle(lanes):
+    """The ``lanes`` entry of a scene file, quantizing one coordinate at a time."""
+    return [{"points": [[quantize_oracle(x), quantize_oracle(y)] for x, y in lane.points_image()]}
+            for lane in lanes]
+
+
+def label_grids_oracle(labels):
+    """A labels file's ``r_hat`` (None where non-finite) and ``theta_hat``, cell by cell."""
+    r_hat = [None if not np.isfinite(v) else quantize_oracle(v) for v in labels.r_hat.ravel()]
+    return r_hat, [quantize_oracle(v) for v in labels.theta_hat.ravel()]
+
+
 def gen_candidates_oracle(gts, spec, frame, pole):
     """Candidate generation one candidate at a time, each draw taken where it is used."""
     rng = np.random.default_rng(spec.seed)

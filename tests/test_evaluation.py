@@ -58,6 +58,14 @@ class TestMatchLanes:
             assert total == pytest.approx(best_total, abs=1e-9)
 
 
+    @pytest.mark.parametrize("threshold", [float("nan"), 1.5, -1.0, 0.0])
+    def test_threshold_outside_unit_interval_rejected(self, frame, threshold):
+        # NaN and 1.5 used to match nothing, and -1 matched disjoint lanes.
+        preds, gts = lanes_at(frame, [100]), lanes_at(frame, [600])
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            match_lanes(preds, gts, threshold, w_base=15.0)
+
+
 class TestF1Suite:
     def test_arithmetic_8_2_2(self, frame):
         # 8 matched lanes, 2 spurious preds, 2 missed gts in one scene

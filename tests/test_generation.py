@@ -116,11 +116,12 @@ class TestGenCandidatesOracle:
         assert gen_candidates(gts, spec, frame=frame, pole=pole).sha256() == want
 
 
-def test_seed7_dense_k26_reproduces_recorded_digests(tmp_path, monkeypatch):
-    """The canonical run's selection and metrics bytes, as ``pytest perfbench`` checks them."""
+@pytest.mark.parametrize("name", ["dense_k26", "dense_k1024", "crowded_k1024"])
+def test_seed7_reproduces_recorded_digests(tmp_path, monkeypatch, name):
+    """Each workload's selection and metrics bytes, as ``pytest perfbench`` checks them."""
     workloads = perfbench_files.load("workloads")
     monkeypatch.setattr(workloads, "out_dir", lambda: tmp_path)
-    recorded = json.loads((perfbench_files.PERFBENCH / "digests.json").read_text())["dense_k26"]
-    runs = workloads.build_runs("dense_k26", 7)
+    recorded = json.loads((perfbench_files.PERFBENCH / "digests.json").read_text())[name]
+    runs = workloads.build_runs(name, 7)
     assert {mode: workloads.output_digests(r, run_pipeline(r)) for mode, r in runs.items()} \
         == recorded

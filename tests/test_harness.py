@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polar_kit import InvalidSpec, ParseError, VersionError, iou_matrix
+from polar_kit import (InvalidSpec, LaneGrid, ParseError, PoleGridLabels, VersionError,
+                       iou_matrix)
 from polar_kit.config import default_frame, default_thresholds
 from polar_kit.harness import (
     CandidateGenSpec,
@@ -30,7 +31,9 @@ from polar_kit.harness import (
     write_scene,
     write_selections,
 )
+from polar_kit.harness.fileio import labels_to_dict, scene_to_dict
 from polar_kit.harness.pipeline import SceneOutcome
+from oracles import label_grids_oracle, scene_lanes_oracle
 
 FRAME = default_frame()
 
@@ -432,6 +435,36 @@ class TestRoundTripProperties:
             assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True), name
         write_candidates(path.with_name("again.json"), cands2, meta)
         assert path.with_name("again.json").read_bytes() == path.read_bytes()
+
+
+class TestWritersMatchScalarLoop:
+    """The writers quantize whole arrays; the bytes equal the per-scalar loop's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_SPECS, raw_seed=st.integers(0, 2**32 - 1))
+    def test_scene_lanes(self, spec, raw_seed):
+        rng = np.random.default_rng(raw_seed)
+        raw = LaneGrid(xs=rng.uniform(-1e3, 1e3, FRAME.n_rows) * 10.0 ** rng.integers(-12, 12),
+                       valid=(2, FRAME.n_rows - 3), frame=FRAME)  # unquantized coordinates
+        lanes = gen_scene(spec) + [raw]
+        got = scene_to_dict(lanes, {"seed": spec.seed})["lanes"]
+        assert json.dumps(got) == json.dumps(scene_lanes_oracle(lanes))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 6), cols=st.integers(0, 6))
+    def test_label_grids(self, seed, rows, cols):
+        rng = np.random.default_rng(seed)
+        specials = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324])
+        r_hat = rng.uniform(0, 500, (rows, cols))
+        theta_hat = rng.uniform(-np.pi, np.pi, (rows, cols))
+        for grid in (r_hat, theta_hat):
+            hit = rng.uniform(size=grid.shape) < 0.3
+            grid[hit] = rng.choice(specials, hit.sum())
+        labels = PoleGridLabels(r_hat=r_hat, theta_hat=theta_hat, s_hat=r_hat < 40.0)
+        (scene,) = labels_to_dict([labels], (rows, cols), 40.0)["scenes"]
+        r_want, theta_want = label_grids_oracle(labels)
+        assert json.dumps(scene["r_hat"]) == json.dumps(r_want)
+        assert json.dumps(scene["theta_hat"]) == json.dumps(theta_want)
 
 
 def make_run(kind, mode, width, n=6, oracle=False, cand_seed=21):

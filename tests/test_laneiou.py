@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polar_kit import (
     CandidateSet,
+    ImageFrame,
     InvalidInput,
     InvalidLane,
     LaneGrid,
@@ -122,16 +125,24 @@ class TestGlaneIou:
         got = iou(full, half)
         assert got == pytest.approx(18.0 / 36.0)
 
-    def test_symmetry_and_bounds_random(self, frame):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            p, q = random_lane(rng, frame), random_lane(rng, frame)
-            for g in (0.0, 1.0):
-                a = iou(p, q, g)
-                b = iou(q, p, g)
-                assert a == pytest.approx(b, abs=1e-12)
-            v = iou(p, q)
-            assert 0.0 <= v <= 1.0
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), n_rows=st.integers(2, 40),
+           w_base=st.floats(0.5, 100.0), wander=st.floats(0.0, 60.0))
+    def test_symmetry_and_bounds_random(self, seed, k, n_rows, w_base, wander):
+        rng = np.random.default_rng(seed)
+        frame = ImageFrame(width=800, height=320, n_rows=n_rows)
+        lanes = []
+        for _ in range(k):
+            lo = int(rng.integers(0, n_rows - 1))
+            hi = int(rng.integers(lo + 1, n_rows))
+            xs = rng.uniform(0, 800) + np.cumsum(rng.normal(0, wander, n_rows))
+            lanes.append(LaneGrid(xs=xs, valid=(lo, hi), frame=frame))
+        lanes.append(lanes[int(rng.integers(0, k))])  # a coincident pair
+        for g in (0.0, 1.0):
+            m = iou_matrix(lanes, lanes, w_base, g)
+            np.testing.assert_allclose(m, m.T, rtol=0, atol=1e-12)
+        m = iou_matrix(lanes, lanes, w_base)
+        assert np.all((m >= 0.0) & (m <= 1.0))
 
     def test_matches_interval_oracle(self, frame):
         rng = np.random.default_rng(6)

@@ -3,12 +3,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polar_kit import (
+    CandidateGraph,
     HeadWeights,
-    InvalidInput,
     ParseError,
     ShapeError,
     SuppressionThresholds,
@@ -18,7 +18,6 @@ from polar_kit import (
     geometric_adjacency,
     head_forward,
     load_weights,
-    max_over_in_edges,
     node_scores,
     roi_project,
     save_weights,
@@ -111,9 +110,8 @@ class TestRoiProject:
 
 
 def all_pairs(k):
-    """(src, dst) of every ordered pair, grouped by target."""
-    dst, src = np.nonzero(np.ones((k, k), dtype=bool).T)
-    return src, dst
+    """Graph of every ordered pair of k candidates, self-pairs included."""
+    return CandidateGraph(np.ones((k, k), dtype=bool))
 
 
 class TestEdgeTensor:
@@ -124,38 +122,38 @@ class TestEdgeTensor:
         rng = np.random.default_rng(6)
         roi = rng.standard_normal(D_R)
         xs = rng.uniform(0, 800, size=N)
-        edge = edge_tensor(np.stack([roi, roi]), np.stack([xs, xs]), w, [0, 1], [1, 0])
+        graph = CandidateGraph(~np.eye(2, dtype=bool))  # pairs 1 -> 0 and 0 -> 1
+        edge = edge_tensor(np.stack([roi, roi]), np.stack([xs, xs]), w, graph)
         from polar_kit.o2o_head import _mlp
 
         constant = _mlp(w.sample_bias, w.edge_mlp, sigmoid_out=False)
         assert np.allclose(edge[0], constant, atol=1e-12)
         assert np.allclose(edge[1], constant, atol=1e-12)
 
-    @pytest.mark.parametrize("src, dst, error", [
-        ([-1], [0], InvalidInput), ([0], [3], InvalidInput), ([0.0], [1], InvalidInput),
-        ([0, 1], [1], ShapeError),
-    ])
-    def test_bad_pair_indices_rejected(self, weights, src, dst, error):
+    @pytest.mark.parametrize("graph_k", [2, 4, 0])
+    def test_graph_of_another_k_rejected(self, weights, graph_k):
         rng = np.random.default_rng(7)
         rois, xs = rng.standard_normal((3, D_R)), rng.uniform(0, 800, (3, N))
-        with pytest.raises(error):
-            edge_tensor(rois, xs, weights, src, dst)
+        with pytest.raises(ShapeError, match="3 candidates"):
+            edge_tensor(rois, xs, weights, all_pairs(graph_k))
 
     def test_k1_shape(self, weights):
         rng = np.random.default_rng(7)
         rois, xs = rng.standard_normal((1, D_R)), rng.uniform(0, 800, (1, N))
-        assert edge_tensor(rois, xs, weights, *all_pairs(1)).shape == (1, D_N)
-        assert edge_tensor(rois, xs, weights, [], []).shape == (0, D_N)
+        assert edge_tensor(rois, xs, weights, all_pairs(1)).shape == (1, D_N)
+        no_pairs = CandidateGraph(np.zeros((1, 1), dtype=bool))
+        assert edge_tensor(rois, xs, weights, no_pairs).shape == (0, D_N)
 
     def test_locality_under_perturbation(self, weights):
         rng = np.random.default_rng(8)
         rois = rng.standard_normal((5, D_R))
         xs = rng.uniform(0, 800, (5, N))
-        src, dst = all_pairs(5)
-        edge = edge_tensor(rois, xs, weights, src, dst)
+        graph = all_pairs(5)
+        src, dst = graph.src, graph.dst
+        edge = edge_tensor(rois, xs, weights, graph)
         rois2 = rois.copy()
         rois2[3] += rng.standard_normal(D_R)
-        edge2 = edge_tensor(rois2, xs, weights, src, dst)
+        edge2 = edge_tensor(rois2, xs, weights, graph)
         touched = (src == 3) | (dst == 3)
         assert np.array_equal(edge[~touched], edge2[~touched])
         row = np.flatnonzero((src == 3) & (dst == 0))[0]
@@ -210,9 +208,9 @@ class TestHeadForward:
         xs[1] = xs[0]
         scores = np.array([0.9, 0.6])
         rois = roi_project(aggregate_levels(feats, weights.level_weights), weights.pool_matrix)
-        adjacency = confidence_adjacency(scores) & geometric_adjacency(thetas, radii, OPEN)
-        dst, src = np.nonzero(adjacency.T)
-        pooled = max_over_in_edges(edge_tensor(rois, xs, weights, src, dst), dst, 2)
+        graph = CandidateGraph(
+            confidence_adjacency(scores) & geometric_adjacency(thetas, radii, OPEN))
+        pooled = graph.in_edge_max(edge_tensor(rois, xs, weights, graph))
         assert np.array_equal(pooled[0], np.zeros(D_N))
         assert np.any(pooled[1] != 0)
         s = head_forward(feats, scores, thetas, radii, xs, OPEN, weights)
@@ -301,6 +299,22 @@ class TestDenseOracle:
         want = dense_head_forward(feats, scores, thetas, radii, xs, GATES[gate], weights)
         assert got.shape == (k,)
         assert got.tobytes() == want.tobytes()
+
+
+class TestPermutationEquivariance:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+           gate=st.sampled_from(sorted(GATES)))
+    def test_scores_permute_with_the_candidates(self, k, seed, gate):
+        """With distinct o2m scores, relabelling the candidates relabels the head scores."""
+        weights = HeadWeights.seeded(N, C_F, D_R, D_N, seed=seed)
+        rng = np.random.default_rng(seed)
+        inputs = random_inputs(rng, k)
+        assume(np.unique(inputs[1]).size == k)
+        perm = rng.permutation(k)
+        got = head_forward(*(a[perm] for a in inputs), GATES[gate], weights)
+        want = head_forward(*inputs, GATES[gate], weights)
+        np.testing.assert_allclose(got, want[perm], rtol=0, atol=1e-12)
 
 
 class TestWeightsIO:

@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polar_kit import (
+    CandidateGraph,
     CandidateSet,
     ImageFrame,
     InvalidInput,
@@ -19,7 +20,6 @@ from polar_kit import (
     fast_nms_geometric,
     geometric_adjacency,
     iou_distance,
-    max_over_in_edges,
     sequential_nms,
 )
 from polar_kit.harness import read_candidates
@@ -172,6 +172,16 @@ class TestFastNms:
 
 
 GATE = st.one_of(st.floats(1e-3, 2.0), st.sampled_from([1e-12, np.inf]))
+TINY = ImageFrame(800, 320, 2)
+
+
+def anchor_set(thetas, radii, scores):
+    """Candidates that differ only in their anchor parameters and scores; lanes never matter."""
+    k = len(scores)
+    return CandidateSet(
+        frame=TINY, thetas=thetas, radii=radii, anchor_xs=np.zeros((k, 2)),
+        lane_xs=np.zeros((k, 2)), valid=np.tile([0, 1], (k, 1)), scores_o2m=scores,
+    )
 
 
 class TestFastNmsDenseOracle:
@@ -186,12 +196,7 @@ class TestFastNmsDenseOracle:
         scores = rng.choice([0.2, 0.5, 0.8], k) if ties else rng.uniform(0, 1, k)
         d = rng.uniform(0.0, 2.0, (k, k))
         d[rng.uniform(size=(k, k)) < 0.1] = 0.0
-        tiny = ImageFrame(800, 320, 2)
-        cands = CandidateSet(
-            frame=tiny, thetas=rng.uniform(-1, 1, k), radii=rng.uniform(-100, 100, k),
-            anchor_xs=np.zeros((k, 2)), lane_xs=np.zeros((k, 2)),
-            valid=np.tile([0, 1], (k, 1)), scores_o2m=scores,
-        )
+        cands = anchor_set(rng.uniform(-1, 1, k), rng.uniform(-100, 100, k), scores)
         th = SuppressionThresholds(tau_theta, lambda_g, tau_d, tau_o2m=0.3)
         adjacency = confidence_adjacency(scores) & geometric_adjacency(
             cands.thetas, cands.radii, th)
@@ -199,39 +204,94 @@ class TestFastNmsDenseOracle:
         assert got.tolist() == dense_fast_nms(scores, adjacency, d, tau_d, 0.3).tolist()
 
 
+class TestPermutationEquivariance:
+    """With distinct scores, relabelling the candidates relabels the selection."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), tau_theta=GATE,
+           lambda_g=GATE.map(lambda g: 100.0 * g), tau_d=st.floats(0.05, 1.5))
+    def test_nms_selections_permute_with_the_candidates(self, k, seed, tau_theta, lambda_g,
+                                                        tau_d):
+        rng = np.random.default_rng(seed)
+        scores = rng.uniform(0, 1, k)
+        assume(np.unique(scores).size == k)
+        thetas, radii = rng.uniform(-1, 1, k), rng.uniform(-100, 100, k)
+        d = rng.uniform(0.0, 2.0, (k, k))
+        d[rng.uniform(size=(k, k)) < 0.1] = 0.0
+        perm = rng.permutation(k)
+        cands = anchor_set(thetas, radii, scores)
+        permuted = anchor_set(thetas[perm], radii[perm], scores[perm])
+        d_perm = d[np.ix_(perm, perm)]
+        th = SuppressionThresholds(tau_theta, lambda_g, tau_d, tau_o2m=0.3)
+        fast = fast_nms_geometric(cands, th, lambda _: d)
+        fast_perm = fast_nms_geometric(permuted, th, lambda _: d_perm)
+        assert set(perm[fast_perm].tolist()) == set(fast.tolist())
+        seq = sequential_nms(cands, lambda _: d, tau_d, 0.3)
+        seq_perm = sequential_nms(permuted, lambda _: d_perm, tau_d, 0.3)
+        assert set(perm[seq_perm].tolist()) == set(seq.tolist())
+
+
+def graph_into(k, *targets):
+    """Graph over k candidates whose pairs point, in order, into the ascending ``targets``."""
+    adjacency = np.zeros((k, k), dtype=bool)
+    for t in set(targets):
+        adjacency[:targets.count(t), t] = True
+    return CandidateGraph(adjacency)
+
+
+class TestCandidateGraph:
+    def test_pairs_are_the_adjacency_grouped_by_target(self):
+        adjacency = np.random.default_rng(9).uniform(size=(7, 7)) < 0.4
+        graph = CandidateGraph(adjacency)
+        assert graph.k == 7
+        assert adjacency[graph.src, graph.dst].all() and graph.src.size == adjacency.sum()
+        assert np.all(np.diff(graph.dst) >= 0)
+
+    @pytest.mark.parametrize("adjacency", [
+        np.ones((2, 3), dtype=bool), np.ones(4, dtype=bool), np.ones((2, 2, 2), dtype=bool),
+        np.ones((2, 2)),
+    ], ids=["non-square", "flat", "3-d", "float"])
+    def test_non_square_or_non_boolean_adjacency_rejected(self, adjacency):
+        with pytest.raises(ShapeError):
+            CandidateGraph(adjacency)
+
+    def test_arrays_are_read_only(self):
+        adjacency = np.ones((3, 3), dtype=bool)
+        graph = CandidateGraph(adjacency)
+        for arr in (graph.src, graph.dst):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 2
+        adjacency[:] = False  # the graph does not alias its input
+        assert graph.src.size == 9
+
+
 class TestMaxOverInEdges:
+    """``CandidateGraph.in_edge_max``, the one pooling rule of fast NMS and the head."""
+
     def test_no_edges_pools_zeros(self):
-        out = max_over_in_edges(np.zeros((0, 5)), np.array([], dtype=int), 3)
+        out = CandidateGraph(np.zeros((3, 3), dtype=bool)).in_edge_max(np.zeros((0, 5)))
         assert np.array_equal(out, np.zeros((3, 5)))
 
     def test_singleton_pool(self):
         row = np.random.default_rng(10).standard_normal((1, 5)) - 10.0  # all negative
-        out = max_over_in_edges(row, np.array([0]), 3)
+        out = graph_into(3, 0).in_edge_max(row)
         assert np.array_equal(out[0], row[0])
         assert np.array_equal(out[1:], np.zeros((2, 5)))
 
     def test_componentwise_maximum(self):
         values = np.array([[9.0, 9.0, 9.0], [1.0, -2.0, 5.0], [0.0, 7.0, 4.0]])
-        out = max_over_in_edges(values, np.array([0, 1, 1]), 2)
+        out = graph_into(2, 0, 1, 1).in_edge_max(values)
         assert out[1].tolist() == [1.0, 7.0, 5.0]
         assert out[0].tolist() == [9.0, 9.0, 9.0]
 
     def test_scalar_rows(self):
-        out = max_over_in_edges([3.0, 1.0, 2.0, np.inf], np.array([1, 1, 3, 3]), 4)
+        out = graph_into(4, 1, 1, 3, 3).in_edge_max([3.0, 1.0, 2.0, np.inf])
         assert out.tolist() == [0.0, 3.0, 0.0, np.inf]
-
-    def test_ungrouped_targets_rejected(self):
-        with pytest.raises(InvalidInput, match="grouped"):
-            max_over_in_edges([1.0, 5.0, 2.0], [1, 0, 1], 2)
-
-    @pytest.mark.parametrize("dst", [[-1], [2], [0.0], [True]])
-    def test_target_outside_range_rejected(self, dst):
-        with pytest.raises(InvalidInput, match=r"\[0, 2\)"):
-            max_over_in_edges([1.0], dst, 2)
 
     def test_one_row_per_pair(self):
         with pytest.raises(ShapeError):
-            max_over_in_edges([1.0, 2.0], [0], 2)
+            graph_into(2, 0).in_edge_max([1.0, 2.0])
 
 
 class TestSequentialNms:
@@ -253,6 +313,26 @@ class TestSequentialNms:
     def test_empty_set(self, frame):
         cs = vertical_set(frame, np.empty((0,)), np.empty((0,)))
         assert sequential_nms(cs, iou_distance(15.0), 0.5, 0.3).size == 0
+
+
+class TestDistanceShape:
+    """Both NMS selectors check ``distance(cands)`` once; sequential NMS used to
+    select from a too-large matrix and raise IndexError on a thin or flat one."""
+
+    K = 26
+
+    @pytest.mark.parametrize("shape", [(K + 5, K + 5), (K, 1), (K * K,), (K, K + 1), ()],
+                             ids=["too-large", "one-column", "flat", "non-square", "scalar"])
+    @pytest.mark.parametrize("select", [
+        lambda cs, dist: sequential_nms(cs, dist, 0.5, 0.3),
+        lambda cs, dist: fast_nms_geometric(cs, WIDE_OPEN, dist),
+    ], ids=["sequential", "fast"])
+    def test_wrong_shape_rejected(self, frame, shape, select):
+        rng = np.random.default_rng(21)
+        cs = vertical_set(frame, rng.uniform(50, 750, self.K), rng.uniform(0.35, 1.0, self.K))
+        d = rng.uniform(0.0, 2.0, shape)
+        with pytest.raises(ShapeError, match=rf"\({self.K}, {self.K}\)"):
+            select(cs, lambda _: d)
 
 
 class TestDualConfidence:
